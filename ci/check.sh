@@ -138,28 +138,30 @@ echo "==> wire serving: socket-level suite (bit-identity, fuzz-lite, backpressur
 # sequential scatter path, matching the in-process comparison run.
 NN_THREADS=1 cargo test -q -p splash_repro --test server
 
-echo "==> perf baseline gate: splash bench --baseline / --check round-trip"
-# Records a machine-keyed baseline (time + steady-state allocator calls
-# over the serving hot loops) and immediately checks against it: the
-# check leg proves the gate mechanism end-to-end every run, and the
-# alloc half is exact — any steady-state allocation regression fails
-# here even between back-to-back runs. Serial, like the other perf legs.
-NN_THREADS=1 cargo run --release -q -p cli -- bench --baseline "$TELEM_DIR/bench-baseline.json" --iters 3
-NN_THREADS=1 cargo run --release -q -p cli -- bench --check "$TELEM_DIR/bench-baseline.json" --iters 3
-
 echo "==> benches compile"
 cargo bench --no-run -p bench
 
-echo "==> quick bench: hot-loop timings + allocation counts"
-cargo bench -p bench --bench hotloop
+echo "==> splashbench: every workload's smoke mode, bit-identity checks and metric contract"
+# The repo benchmark (BENCHMARK.json) at a tiny size: each workload runs
+# untraced and traced, its correctness checks must pass, and its printed
+# metric names and units must equal BENCHMARK.json's lists.
+cargo test --release --manifest-path splashbench/Cargo.toml
 
-echo "==> quick bench: shard-scaling timings + allocation counts"
-cargo bench -p bench --bench shard_scaling
-
-echo "==> quick bench: wire mixed-load throughput + server-side latency percentiles"
-cargo bench -p bench --bench server_load
-
-echo "==> quick bench: restart cost — full stream replay vs checkpoint+WAL recovery"
-cargo bench -p bench --bench restart
+echo "==> code size: non-test Rust lines per crate vs ci/loc_baseline.json (report only)"
+ci/loc.sh | awk '
+    { line = $0; gsub(/[", ]/, "", line); split(line, kv, ":") }
+    NF < 2 { next }
+    NR == FNR { base[kv[1]] = kv[2]; next }
+    {
+        seen[kv[1]] = 1
+        d = kv[2] - base[kv[1]]; total_now += kv[2]; total_delta += d
+        printf "  %-14s %7d  %+6d\n", kv[1], kv[2], d
+    }
+    END {
+        for (c in base) if (!(c in seen)) {
+            printf "  %-14s %7d  %+6d\n", c, 0, -base[c]; total_delta -= base[c]
+        }
+        printf "  %-14s %7d  %+6d\n", "total", total_now, total_delta
+    }' ci/loc_baseline.json -
 
 echo "==> all checks passed"

@@ -42,7 +42,6 @@ USAGE:
                   [--regimes r1,r2,..] [--models m1,m2,..] [--online-every N]
                   [--epochs N] [--k N] [--dv N] [--hidden N] [--seed N]
   splash drift    --edges <csv> --queries <csv> --task <task> [--buckets N]
-  splash bench    --baseline <file> | --check <file>  [--iters N]
 
   <task>   anomaly | classification | affinity
   <name>   reddit | wiki | mooc | email-eu | gdelt | tgbn-trade | tgbn-genre
@@ -68,7 +67,6 @@ pub fn dispatch(tokens: Vec<String>) -> Result<String, ArgError> {
         Some("baseline") => cmd_baseline(&args)?,
         Some("scenarios") => cmd_scenarios(&args)?,
         Some("drift") => cmd_drift(&args)?,
-        Some("bench") => crate::bench::cmd_bench(&args)?,
         Some("help") | None => return Ok(usage()),
         Some(other) => return Err(ArgError(format!("unknown command {other:?}\n\n{}", usage()))),
     };

@@ -1,6 +1,6 @@
 //! Command-line interface to the SPLASH reproduction.
 //!
-//! Six subcommands cover the bring-your-own-data workflow end to end:
+//! Eight subcommands cover the bring-your-own-data workflow end to end:
 //!
 //! * `generate` — write any built-in dataset analogue to CSV;
 //! * `stats` — Table II-style statistics of a CSV dataset;
@@ -10,11 +10,10 @@
 //! * `serve` — streaming deployment through the `SplashService` façade:
 //!   load a saved model, replay the post-training period live, report
 //!   serving counters and the test metric;
-//! * `baseline` — any Table III baseline (or DTDG method) on the same data.
-//!
-//! Alongside them, `bench` ([`bench::cmd_bench`]) records and checks a
-//! machine-keyed performance baseline over the serving hot loops — the
-//! regression gate `ci/check.sh` runs.
+//! * `baseline` — any Table III baseline (or DTDG method) on the same data;
+//! * `scenarios` — the scenario matrix: dataset regimes × models streamed
+//!   through one multi-tenant service, rendered as a report;
+//! * `drift` — distribution-shift diagnostics of a CSV dataset.
 //!
 //! Invalid input — bad configs, corrupt or version-mismatched model
 //! files, out-of-order streams — surfaces as rendered `SplashError`
@@ -25,7 +24,6 @@
 //! the CLI without spawning processes.
 
 pub mod args;
-pub mod bench;
 pub mod commands;
 
 pub use args::{ArgError, Args};

@@ -1,12 +1,6 @@
 //! The `splash` command-line binary. All logic lives in the library half
 //! ([`cli::dispatch`]) so it can be exercised by integration tests.
 
-/// Counts allocator calls so `splash bench` can gate on steady-state
-/// allocation counts; every other subcommand pays one relaxed atomic
-/// increment per allocation, which is noise.
-#[global_allocator]
-static GLOBAL: cli::bench::CountingAlloc = cli::bench::CountingAlloc;
-
 fn main() {
     let tokens: Vec<String> = std::env::args().skip(1).collect();
     match cli::dispatch(tokens) {

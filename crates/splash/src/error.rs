@@ -33,6 +33,15 @@ pub enum SplashError {
         /// Timestamp of the last edge already observed.
         last: f64,
     },
+    /// An ingested edge carries an edge-feature vector of the wrong width:
+    /// the model's SLIM input row holds exactly `expected` edge-feature
+    /// columns per message (Eq. 14), and this edge has `got`.
+    EdgeFeatureWidth {
+        /// Edge-feature width the model was trained with.
+        expected: usize,
+        /// Width of the offending edge's feature vector.
+        got: usize,
+    },
     /// A label query asked about the past: its timestamp precedes the most
     /// recently observed edge, so answering it would require state that has
     /// already been overwritten.
@@ -160,6 +169,7 @@ impl SplashError {
     pub fn kind(&self) -> &'static str {
         match self {
             SplashError::OutOfOrderEdge { .. } => "OutOfOrderEdge",
+            SplashError::EdgeFeatureWidth { .. } => "EdgeFeatureWidth",
             SplashError::PastQuery { .. } => "PastQuery",
             SplashError::UnknownNode { .. } => "UnknownNode",
             SplashError::UnknownModel { .. } => "UnknownModel",
@@ -192,6 +202,9 @@ impl SplashError {
             // The request contradicts the stream clock — a state conflict,
             // retryable after repair.
             SplashError::OutOfOrderEdge { .. } | SplashError::PastQuery { .. } => 409,
+            // The edges do not fit the model's input shape: a malformed
+            // request body.
+            SplashError::EdgeFeatureWidth { .. } => 400,
             // The named resource does not exist.
             SplashError::UnknownModel { .. } => 404,
             // Well-formed but semantically impossible payloads.
@@ -224,6 +237,10 @@ impl fmt::Display for SplashError {
             SplashError::OutOfOrderEdge { got, last } => write!(
                 f,
                 "edges must arrive chronologically ({got} < {last})"
+            ),
+            SplashError::EdgeFeatureWidth { expected, got } => write!(
+                f,
+                "edge has {got} feature columns, the model expects {expected}"
             ),
             SplashError::PastQuery { got, last } => write!(
                 f,

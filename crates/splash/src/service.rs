@@ -64,7 +64,7 @@ use crate::error::SplashError;
 use crate::online::{FineTuneReport, OnlineConfig, OnlineTrainer};
 use crate::shard::{ShardStats, ShardedPredictor};
 use crate::slim::{AdamState, SlimModel};
-use crate::stream::StreamingPredictor;
+use crate::stream::{check_edge_width, StreamingPredictor};
 use crate::telemetry::{escape_label_value, Gauge, Telemetry};
 use crate::task::argmax;
 use ctdg::Label;
@@ -471,6 +471,18 @@ impl Engine {
             Engine::Sharded(s) => s.try_push_edges(edges),
             Engine::External(e) => e.try_push_edges(edges),
         }
+    }
+
+    /// Width-checks a whole batch before the per-edge `DropLate` path
+    /// touches the engine, so that path stays batch-atomic too (an
+    /// external engine validates its own input).
+    fn check_edge_widths(&self, edges: &[TemporalEdge]) -> Result<(), SplashError> {
+        let width = match self {
+            Engine::Single(p) => p.edge_feat_dim(),
+            Engine::Sharded(s) => s.edge_feat_dim(),
+            Engine::External(_) => return Ok(()),
+        };
+        edges.iter().try_for_each(|e| check_edge_width(e, width))
     }
 
     fn try_observe_edge(&mut self, edge: &TemporalEdge) -> Result<(), SplashError> {
@@ -1070,6 +1082,7 @@ impl SplashService {
                     engine.try_push_edges(edges)?;
                     0
                 } else {
+                    engine.check_edge_widths(edges)?;
                     let mut dropped = 0usize;
                     for edge in edges {
                         match engine.try_observe_edge(edge) {

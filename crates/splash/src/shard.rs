@@ -62,7 +62,7 @@ use crate::augment::FeatureProcess;
 use crate::config::SplashConfig;
 use crate::error::SplashError;
 use crate::persist::SavedModel;
-use crate::stream::{EdgeSnapshot, StreamingPredictor, WitnessState};
+use crate::stream::{check_edge_width, EdgeSnapshot, StreamingPredictor, WitnessState};
 use crate::telemetry::{escape_label_value, Counter, Registry};
 
 /// The owner shard of `node` under an `shards`-way partition.
@@ -371,6 +371,12 @@ impl ShardedPredictor {
         self.shards[0].out_dim()
     }
 
+    /// Edge-feature width the model was trained with; see
+    /// [`StreamingPredictor::edge_feat_dim`].
+    pub fn edge_feat_dim(&self) -> usize {
+        self.shards[0].edge_feat_dim()
+    }
+
     /// The configuration the underlying model was trained (or restored)
     /// with.
     pub fn config(&self) -> &SplashConfig {
@@ -456,10 +462,11 @@ impl ShardedPredictor {
     /// O(E) regardless of the shard count.
     ///
     /// Batch-atomic like [`StreamingPredictor::try_push_edges`]: the whole
-    /// batch is validated against the stream clock before anything
-    /// mutates, so on [`SplashError::OutOfOrderEdge`] the engine is
-    /// exactly as it was. Serially, the witness pass writes the owner
-    /// shards' ring slots directly from the augmenter — the same
+    /// batch is validated against the stream clock and the model's
+    /// edge-feature width before anything mutates, so on
+    /// [`SplashError::OutOfOrderEdge`] or [`SplashError::EdgeFeatureWidth`]
+    /// the engine is exactly as it was. Serially, the witness pass writes
+    /// the owner shards' ring slots directly from the augmenter — the same
     /// single-copy path the unsharded engine takes. With the `parallel`
     /// feature and more than one available thread, the witness pass
     /// instead materializes per-edge `EdgeSnapshot`s plus per-shard
@@ -469,10 +476,12 @@ impl ShardedPredictor {
     pub fn try_push_edges(&mut self, edges: &[TemporalEdge]) -> Result<(), SplashError> {
         let mut prev = self.witness.last_time;
         let mut max_node = 0;
+        let width = self.edge_feat_dim();
         for edge in edges {
             if edge.time < prev {
                 return Err(SplashError::OutOfOrderEdge { got: edge.time, last: prev });
             }
+            check_edge_width(edge, width)?;
             prev = edge.time;
             max_node = max_node.max(edge.src).max(edge.dst);
         }
@@ -551,7 +560,9 @@ impl ShardedPredictor {
     /// Ingests one edge (the per-edge path a `DropLate` serving layer
     /// uses): a late edge reports [`SplashError::OutOfOrderEdge`] with
     /// the engine untouched — the drop decision lives on the one shared
-    /// stream clock, so it is identical to the unsharded engine's.
+    /// stream clock, so it is identical to the unsharded engine's. An edge
+    /// of the wrong feature width reports [`SplashError::EdgeFeatureWidth`],
+    /// also with the engine untouched.
     pub fn try_observe_edge(&mut self, edge: &TemporalEdge) -> Result<(), SplashError> {
         if edge.time < self.witness.last_time {
             return Err(SplashError::OutOfOrderEdge {
@@ -559,6 +570,7 @@ impl ShardedPredictor {
                 last: self.witness.last_time,
             });
         }
+        check_edge_width(edge, self.edge_feat_dim())?;
         let n = self.shards.len();
         let process = self.process();
         // Only the owner shard(s) take ring writes, straight from the

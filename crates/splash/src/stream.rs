@@ -79,6 +79,17 @@ pub(crate) struct StreamState {
     pub last_time: f64,
 }
 
+/// Rejects an edge whose feature vector is not `expected` columns wide. A
+/// ring slot carries the vector into the model's fixed-width input row, so
+/// a mismatch must be refused at ingest, before it reaches a predict.
+pub(crate) fn check_edge_width(edge: &TemporalEdge, expected: usize) -> Result<(), SplashError> {
+    if edge.feat.len() == expected {
+        Ok(())
+    } else {
+        Err(SplashError::EdgeFeatureWidth { expected, got: edge.feat.len() })
+    }
+}
+
 /// Reassembles one unsharded [`StreamState`] from a recovered witness
 /// snapshot plus the per-shard ring partitions: the single witness carries
 /// the augmenter/clock, and the ring union restores every node's ring.
@@ -576,6 +587,12 @@ impl StreamingPredictor {
         self.out_dim
     }
 
+    /// Edge-feature width the model was trained with; every ingested
+    /// edge's `feat` must have exactly this length.
+    pub fn edge_feat_dim(&self) -> usize {
+        self.edge_feat_dim
+    }
+
     /// The configuration this predictor was trained (or restored) with.
     pub fn config(&self) -> &SplashConfig {
         &self.cfg
@@ -682,8 +699,9 @@ impl StreamingPredictor {
 
     /// Ingests one live temporal edge: O(d_v) feature propagation plus O(1)
     /// ring updates — independent of the total stream length. Returns
-    /// [`SplashError::OutOfOrderEdge`] (leaving all state untouched) when
-    /// the edge travels back in time.
+    /// [`SplashError::OutOfOrderEdge`] when the edge travels back in time
+    /// and [`SplashError::EdgeFeatureWidth`] when its feature vector does
+    /// not fit the model, leaving all state untouched either way.
     pub fn try_observe_edge(&mut self, edge: &TemporalEdge) -> Result<(), SplashError> {
         let w = self
             .witness
@@ -692,6 +710,7 @@ impl StreamingPredictor {
         if edge.time < w.last_time {
             return Err(SplashError::OutOfOrderEdge { got: edge.time, last: w.last_time });
         }
+        check_edge_width(edge, self.edge_feat_dim)?;
         w.augmenter.observe(edge);
         Self::remember(&mut self.rings, self.k, &w.augmenter, self.process, edge);
         w.last_time = edge.time;
@@ -708,8 +727,9 @@ impl StreamingPredictor {
     /// endpoint up front so no ring push ever reallocates mid-batch.
     ///
     /// The whole batch is validated *before* any state changes, so on
-    /// [`SplashError::OutOfOrderEdge`] the predictor is exactly as it was —
-    /// the caller can drop or repair the batch and carry on serving.
+    /// [`SplashError::OutOfOrderEdge`] or [`SplashError::EdgeFeatureWidth`]
+    /// the predictor is exactly as it was — the caller can drop or repair
+    /// the batch and carry on serving.
     pub fn try_push_edges(&mut self, edges: &[TemporalEdge]) -> Result<(), SplashError> {
         let w = self
             .witness
@@ -722,6 +742,7 @@ impl StreamingPredictor {
             if edge.time < prev {
                 return Err(SplashError::OutOfOrderEdge { got: edge.time, last: prev });
             }
+            check_edge_width(edge, self.edge_feat_dim)?;
             prev = edge.time;
             max_node = max_node.max(edge.src).max(edge.dst);
         }
@@ -1310,6 +1331,38 @@ mod tests {
             StreamingPredictor::train_with_process(&dataset, &cfg, FeatureProcess::Random);
         let stale = TemporalEdge::plain(0, 1, predictor.last_time() - 100.0);
         predictor.try_observe_edge(&stale).unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// An edge whose feature vector does not fit the model is refused
+    /// with a typed error by every ingest path — batch and per-edge, single
+    /// and sharded — before any state changes: the next predict is
+    /// bit-identical to the one before the bad input.
+    #[test]
+    fn wrong_edge_feature_width_is_rejected_atomically() {
+        let (dataset, cfg) = setup();
+        let mut single =
+            StreamingPredictor::train_with_process(&dataset, &cfg, FeatureProcess::Random);
+        let mut sharded =
+            crate::shard::ShardedPredictor::from_predictor(single.clone(), 2).unwrap();
+        assert_eq!((single.edge_feat_dim(), sharded.edge_feat_dim()), (0, 0));
+        let t = single.last_time();
+        let wide = TemporalEdge { feat: vec![1.0].into(), ..TemporalEdge::plain(2, 3, t + 2.0) };
+        let batch = [TemporalEdge::plain(0, 1, t + 1.0), wide.clone()];
+        let bits = |logits: Vec<f32>| logits.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let is_width =
+            |e: SplashError| matches!(e, SplashError::EdgeFeatureWidth { expected: 0, got: 1 });
+
+        let before = bits(single.try_predict(0, t + 5.0).unwrap());
+        assert!(is_width(single.try_push_edges(&batch).unwrap_err()));
+        assert!(is_width(single.try_observe_edge(&wide).unwrap_err()));
+        assert_eq!(single.last_time(), t);
+        assert_eq!(bits(single.try_predict(0, t + 5.0).unwrap()), before);
+
+        let before = bits(sharded.try_predict(0, t + 5.0).unwrap());
+        assert!(is_width(sharded.try_push_edges(&batch).unwrap_err()));
+        assert!(is_width(sharded.try_observe_edge(&wide).unwrap_err()));
+        assert_eq!(sharded.last_time(), t);
+        assert_eq!(bits(sharded.try_predict(0, t + 5.0).unwrap()), before);
     }
 
     #[test]

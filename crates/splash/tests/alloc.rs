@@ -7,9 +7,16 @@
 //! buffers up, and then pins the exact number of allocator calls the hot
 //! loops may make: zero for `predict_into`, one (the returned vector) for
 //! `predict`.
+//!
+//! The counter is process-global on purpose: allocations made by worker
+//! threads that the code under test spawns must be counted too. The test
+//! harness runs tests on parallel threads, though, so every test holds
+//! [`serial`] for its whole body — no other test can allocate inside a
+//! counted window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use ctdg::{Label, PropertyQuery, TemporalEdge};
 use splash::{
@@ -20,10 +27,9 @@ use splash::{
 
 /// Counts every `alloc`/`realloc` that reaches the system allocator.
 ///
-/// Kept in sync with the identical wrapper in
-/// `crates/bench/benches/hotloop.rs` (a global allocator must live in the
-/// binary that uses it, and the bench crate sits above `splash` in the
-/// dependency graph, so the two copies cannot share a crate below both).
+/// A global allocator must live in the binary that uses it, so this
+/// wrapper is local to this test binary; splashbench, a separate package,
+/// keeps its own copy.
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
@@ -46,6 +52,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Serializes the tests of this binary (see the module docs).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes the [`SERIAL`] lock; a test that panicked while holding it only
+/// poisons it, and the next test still runs.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Runs `f` and returns how many allocator calls it made.
 fn count_allocs(mut f: impl FnMut()) -> u64 {
@@ -70,6 +85,7 @@ fn trained_predictor() -> (StreamingPredictor, Vec<TemporalEdge>) {
 /// and `predict` performs at most one (the returned logits vector).
 #[test]
 fn steady_state_predict_is_allocation_free() {
+    let _serial = serial();
     let (mut predictor, tail) = trained_predictor();
     assert!(tail.len() > 20, "fixture too small");
     predictor.try_push_edges(&tail).unwrap();
@@ -126,6 +142,7 @@ fn steady_state_predict_is_allocation_free() {
 /// exactly like the bare predictor.
 #[test]
 fn steady_state_service_predict_is_allocation_free() {
+    let _serial = serial();
     let dataset = splash::truncate_to_available(&datasets::synthetic_shift(40, 6), 0.5);
     let mut cfg = SplashConfig::tiny();
     cfg.epochs = 2;
@@ -181,6 +198,7 @@ fn steady_state_service_predict_is_allocation_free() {
 /// staging) are plain atomics.
 #[test]
 fn steady_state_durable_ingest_is_allocation_free() {
+    let _serial = serial();
     let dataset = splash::truncate_to_available(&datasets::synthetic_shift(40, 6), 0.5);
     let mut cfg = SplashConfig::tiny();
     cfg.epochs = 2;
@@ -249,6 +267,7 @@ fn steady_state_durable_ingest_is_allocation_free() {
 /// thread-per-shard, and spawning threads allocates by design.
 #[test]
 fn steady_state_sharded_predict_is_allocation_free() {
+    let _serial = serial();
     let (base, tail) = trained_predictor();
     let mut sharded = ShardedPredictor::from_predictor(base, 3).unwrap();
     assert!(tail.len() > 20, "fixture too small");
@@ -333,6 +352,7 @@ fn steady_state_sharded_predict_is_allocation_free() {
 /// test (threads would allocate by design under NN_THREADS>1).
 #[test]
 fn steady_state_fine_tune_is_allocation_free() {
+    let _serial = serial();
     let dataset = splash::truncate_to_available(&datasets::synthetic_shift(40, 6), 0.5);
     let mut cfg = SplashConfig::tiny();
     cfg.epochs = 2;
@@ -397,6 +417,7 @@ fn steady_state_fine_tune_is_allocation_free() {
 /// slots exist, pushing further edges does not allocate.
 #[test]
 fn steady_state_ingest_is_allocation_free() {
+    let _serial = serial();
     let (mut predictor, tail) = trained_predictor();
     assert!(tail.len() > 40, "fixture too small");
     // Warm-up: fill the rings to capacity `k`, grow the ring table, and

@@ -247,6 +247,42 @@ fn past_query_is_typed_and_survivable() {
     assert_eq!(service.stats().queries_served, 1);
 }
 
+/// An edge of the wrong feature width is a typed error under both late
+/// policies, and the whole batch is refused: under `DropLate` the late edge
+/// in front of it is not dropped and the good one is not applied either.
+#[test]
+fn wrong_edge_feature_width_rejects_the_whole_batch() {
+    let (dataset, cfg, tail) = fixture();
+    for policy in [LateEdgePolicy::Error, LateEdgePolicy::DropLate] {
+        let mut service = service_with(&dataset, &cfg, policy);
+        let t0 = service.ingest("live", IngestRequest::new(&tail)).unwrap().last_time;
+        let before = service.predict("live", PredictRequest::new(3, t0 + 9.0)).unwrap();
+        let stats = service.stats();
+
+        let mixed = [
+            TemporalEdge::plain(0, 1, t0 + 1.0),
+            TemporalEdge::plain(1, 2, t0 - 1e6), // late
+            TemporalEdge { feat: vec![1.0].into(), ..TemporalEdge::plain(2, 3, t0 + 2.0) },
+        ];
+        let batch = if policy == LateEdgePolicy::Error { &mixed[2..] } else { &mixed[..] };
+        let err = service.ingest("live", IngestRequest::new(batch)).unwrap_err();
+        assert!(
+            matches!(err, SplashError::EdgeFeatureWidth { expected: 0, got: 1 }),
+            "{policy:?}: {err:?}"
+        );
+        assert_eq!((err.kind(), err.http_status()), ("EdgeFeatureWidth", 400));
+
+        let after = service.predict("live", PredictRequest::new(3, t0 + 9.0)).unwrap();
+        assert_eq!(before.logits, after.logits, "{policy:?}: rejected batch mutated state");
+        let now = service.stats();
+        assert_eq!(
+            (now.edges_ingested, now.edges_dropped),
+            (stats.edges_ingested, stats.edges_dropped),
+            "{policy:?}"
+        );
+    }
+}
+
 /// A per-request policy override beats the service-wide policy.
 #[test]
 fn per_request_policy_override() {

@@ -356,6 +356,44 @@ fn error_taxonomy_maps_to_statuses_over_the_wire() {
     handle.shutdown();
 }
 
+/// A wire ingest whose edges lack the model's edge-feature columns is
+/// refused with 400 `EdgeFeatureWidth` before any state changes — such an
+/// edge used to be accepted and then panic the engine thread on the next
+/// predict — and the server keeps answering with bit-identical logits.
+#[test]
+fn featureless_ingest_is_rejected_and_server_keeps_serving() {
+    let dataset = truncate_to_available(
+        &datasets::generate_anomaly(&datasets::AnomalySpec {
+            name: "wiki",
+            num_users: 60,
+            num_items: 12,
+            num_edges: 1_500,
+            edge_feat_dim: 8,
+            abnormal_frac: 0.05,
+            burst: 5.0,
+            seed: 7,
+        }),
+        0.5,
+    );
+    let (_, cfg) = fixture();
+    let service = trained_service(&dataset, &cfg, 1);
+    let t0 = service.model_last_time("live").unwrap();
+    let handle = SplashServer::bind(service, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.addr());
+
+    let query = format!("3,{}\n", t0 + 1.0);
+    let before = client.request("POST", "/models/live/predict", &[], &query);
+    assert_eq!(before.status, 200, "{}", before.body);
+
+    let featureless = [TemporalEdge::plain(3, 61, t0 + 0.5)];
+    let reply = client.request("POST", "/models/live/ingest", &[], &edges_csv(&featureless));
+    assert_eq!((reply.status, reply.kind.as_deref()), (400, Some("EdgeFeatureWidth")));
+
+    let after = client.request("POST", "/models/live/predict", &[], &query);
+    assert_eq!((after.status, after.body), (200, before.body));
+    handle.shutdown();
+}
+
 // ---------------------------------------------------------------------------
 // Malformed-request fuzz-lite: the server outlives every request the
 // grammar below can produce. One shared server across all cases — a leak
