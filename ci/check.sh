@@ -5,7 +5,9 @@
 #   ./ci/check.sh --quick  # tier-1 only (build + tests)
 #
 # Tier-1 (must stay green on every PR):
-#   cargo build --release && cargo test -q
+#   cargo build --release && cargo test -q --no-fail-fast
+# `--no-fail-fast` runs every test binary even after one fails, so the
+# report always says which suites passed, not only the first failure.
 #
 # Docs gate: `nn` and `splash` carry `#![deny(missing_docs)]`, and their
 # rustdoc builds must be warning-free.
@@ -15,8 +17,8 @@ cd "$(dirname "$0")/.."
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
-echo "==> tier-1: cargo test -q"
-cargo test -q
+echo "==> tier-1: cargo test -q --no-fail-fast"
+cargo test -q --no-fail-fast
 
 if [[ "${1:-}" == "--quick" ]]; then
     echo "==> quick mode: skipping docs gate and bench compile"

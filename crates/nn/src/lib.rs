@@ -38,6 +38,7 @@ pub mod activation;
 pub mod attention;
 pub mod backend;
 pub mod dft;
+mod fused;
 pub mod gru;
 pub mod init;
 pub mod layer_norm;

@@ -118,6 +118,83 @@ impl Mlp {
         ws.give(next);
     }
 
+    /// Weighted per-segment sums of the inference outputs over ragged
+    /// row lists: `x` holds `k` rows per segment, segment `q` has
+    /// `lens[q] ≤ k` valid rows, and `sum` becomes `(lens.len(), out)`
+    /// with `sum[q] = Σ_{s < lens[q]} weights[q·k+s] · infer(x)[q·k+s]`,
+    /// added in slot order. Rows past `lens[q]` are never read.
+    ///
+    /// Bit-identical to [`Mlp::infer_into`] over all of `x`, then
+    /// [`Matrix::scale_rows_assign`], then adding each segment's valid rows
+    /// into a zeroed `sum` in slot order. A two-layer ReLU MLP with finite
+    /// weights runs a fused, register-tiled kernel that never
+    /// materializes the `(rows, hidden)` intermediates; any other MLP (or
+    /// one holding a NaN/±inf weight) runs exactly that unfused sequence.
+    /// Allocation-free once `sum` and `ws` have warmed up.
+    pub fn infer_weighted_sum_into(
+        &self,
+        x: &Matrix,
+        weights: &[f32],
+        lens: &[usize],
+        k: usize,
+        sum: &mut Matrix,
+        ws: &mut Workspace,
+    ) {
+        self.weighted_sum_with(x, weights, lens, k, sum, ws, crate::fused::use_avx2());
+    }
+
+    /// [`Mlp::infer_weighted_sum_into`] with the fused kernel's body chosen
+    /// by `avx2` (only set it on an avx2 CPU); returns whether the fused
+    /// kernel ran. The seam that lets tests drive both bodies and the
+    /// fallback.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn weighted_sum_with(
+        &self,
+        x: &Matrix,
+        weights: &[f32],
+        lens: &[usize],
+        k: usize,
+        sum: &mut Matrix,
+        ws: &mut Workspace,
+        avx2: bool,
+    ) -> bool {
+        assert_eq!(
+            x.shape(),
+            (lens.len() * k, self.in_dim()),
+            "message matrix shape"
+        );
+        sum.resize_zeroed(lens.len(), self.out_dim());
+        if let ([l1, l2], Activation::Relu) = (self.layers.as_slice(), self.activation) {
+            let fused = crate::fused::message_sum(
+                l1,
+                l2,
+                x.data(),
+                weights,
+                lens,
+                k,
+                sum.data_mut(),
+                ws,
+                avx2,
+            );
+            if fused {
+                return true;
+            }
+        }
+        let mut m = ws.take(0, 0);
+        self.infer_into(x, &mut m, ws);
+        m.scale_rows_assign(weights);
+        for (q, &len) in lens.iter().enumerate() {
+            assert!(len <= k, "segment {q}: {len} rows exceed k = {k}");
+            for slot in 0..len {
+                for (o, &v) in sum.row_mut(q).iter_mut().zip(m.row(q * k + slot)) {
+                    *o += v;
+                }
+            }
+        }
+        ws.give(m);
+        false
+    }
+
     /// Backward pass: accumulates parameter gradients, returns `dx`.
     pub fn backward(&mut self, cache: &MlpCache, dy: &Matrix) -> Matrix {
         let mut dx = Matrix::default();

@@ -54,7 +54,7 @@
 //! | `GET /stats` | [`SplashService::stats`] |
 //! | `GET /models` | [`SplashService::models_info`] |
 //! | `POST /models/{name}/ingest` | [`SplashService::ingest`] |
-//! | `POST /models/{name}/predict` | [`SplashService::predict_into`] |
+//! | `POST /models/{name}/predict` | [`SplashService::predict_batch_into`] |
 //! | `POST /models/{name}/labels` | [`SplashService::observe_labels`] |
 //! | `POST /models/{name}/fine-tune` | [`SplashService::fine_tune`] |
 //! | `POST /models/{name}/publish` | [`SplashService::publish`] |
@@ -71,6 +71,7 @@
 //! # let _ = service;
 //! ```
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
@@ -80,13 +81,12 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use ctdg::{Label, TemporalEdge};
+use ctdg::{Label, PropertyQuery, TemporalEdge};
 use datasets::{queries_from_csv, Dataset, Task};
+use nn::Matrix;
 
 use crate::error::SplashError;
-use crate::service::{
-    IngestRequest, PredictRequest, PredictResponse, SplashService,
-};
+use crate::service::{IngestRequest, SplashService};
 use crate::telemetry::Telemetry;
 
 /// Limits and knobs of one [`SplashServer`] deployment.
@@ -643,8 +643,9 @@ fn parse_edges(text: &str) -> Result<Vec<TemporalEdge>, String> {
 }
 
 /// Parses a predict body: one `node,time` pair per line (an optional
-/// literal `node,time` header line is skipped).
-fn parse_predict(text: &str) -> Result<Vec<(u32, f64)>, String> {
+/// literal `node,time` header line is skipped). Labels are placeholders;
+/// predictions ignore them.
+fn parse_predict(text: &str) -> Result<Vec<PropertyQuery>, String> {
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -662,7 +663,7 @@ fn parse_predict(text: &str) -> Result<Vec<(u32, f64)>, String> {
             .trim()
             .parse::<f64>()
             .map_err(|e| format!("line {}: time {time:?}: {e}", i + 1))?;
-        out.push((node, time));
+        out.push(PropertyQuery { node, time, label: Label::Class(0) });
     }
     Ok(out)
 }
@@ -756,23 +757,22 @@ fn execute(service: &mut SplashService, route: &Route, body: &[u8]) -> Response 
                     return Response::err(400, "BadRequest", format!("error: bad query: {msg}"))
                 }
             };
-            let mut resp = PredictResponse::default();
+            // One batched forward for the whole body: bit-identical to a
+            // `predict_into` per query, with the same first error (the
+            // batch is checked in body order) and the same served count.
+            let mut logits = Matrix::default();
+            if let Err(e) = service.predict_batch_into(name, &queries, &mut logits) {
+                return Response::splash(&e);
+            }
             let mut body = String::new();
-            for (node, time) in queries {
-                if let Err(e) =
-                    service.predict_into(name, PredictRequest::new(node, time), &mut resp)
-                {
-                    return Response::splash(&e);
-                }
-                let mut first = true;
-                for v in &resp.logits {
-                    if !first {
+            for i in 0..logits.rows() {
+                for (j, v) in logits.row(i).iter().enumerate() {
+                    if j > 0 {
                         body.push(',');
                     }
-                    first = false;
                     // `{v}` prints the shortest exactly-roundtripping
                     // decimal, so logits survive the wire bit-for-bit.
-                    body.push_str(&format!("{v}"));
+                    let _ = write!(body, "{v}");
                 }
                 body.push('\n');
             }
@@ -1257,10 +1257,11 @@ mod tests {
 
     #[test]
     fn predict_bodies_parse() {
-        let qs = parse_predict("node,time\n3,17.5\n4,18\n").unwrap();
-        assert_eq!(qs, vec![(3, 17.5), (4, 18.0)]);
-        let qs = parse_predict("3,17.5\n").unwrap();
-        assert_eq!(qs, vec![(3, 17.5)]);
+        let pairs = |text| -> Vec<(u32, f64)> {
+            parse_predict(text).unwrap().iter().map(|q| (q.node, q.time)).collect()
+        };
+        assert_eq!(pairs("node,time\n3,17.5\n4,18\n"), vec![(3, 17.5), (4, 18.0)]);
+        assert_eq!(pairs("3,17.5\n"), vec![(3, 17.5)]);
         assert!(parse_predict("nope\n").is_err());
     }
 

@@ -1295,18 +1295,18 @@ impl SplashService {
     /// Answers a micro-batch of queries in one forward pass; row `i` holds
     /// the logits for `queries[i]` (labels are ignored). Bit-identical to
     /// [`StreamingPredictor::try_predict_batch`].
+    ///
+    /// A rejected batch reports the error a [`SplashService::predict_into`]
+    /// loop over `queries` would stop at first: queries are checked in
+    /// order, each for an unknown node (under strict node checking) and
+    /// then for a past timestamp.
     pub fn predict_batch(
         &self,
         name: &str,
         queries: &[PropertyQuery],
     ) -> Result<Matrix, SplashError> {
         let entry = self.entry(name)?;
-        if self.strict_nodes {
-            let known = entry.engine.known_nodes();
-            if let Some(q) = queries.iter().find(|q| q.node as usize >= known) {
-                return Err(SplashError::UnknownNode { node: q.node, known });
-            }
-        }
+        self.check_batch(&entry.engine, queries)?;
         let out = entry.engine.try_predict_batch(queries)?;
         self.tel.queries_served.add(queries.len() as u64);
         Ok(out)
@@ -1317,7 +1317,8 @@ impl SplashService {
     /// bit-identical to the allocating form. Takes `&mut self` because on
     /// a sharded model this is the scatter–gather path that may fan the
     /// per-shard forwards out thread-per-shard (see
-    /// [`ShardedPredictor::try_predict_batch_into`]).
+    /// [`ShardedPredictor::try_predict_batch_into`]). Errors as
+    /// [`SplashService::predict_batch`] reports them.
     pub fn predict_batch_into(
         &mut self,
         name: &str,
@@ -1325,14 +1326,25 @@ impl SplashService {
         out: &mut Matrix,
     ) -> Result<(), SplashError> {
         let idx = self.index(name)?;
-        if self.strict_nodes {
-            let known = self.models[idx].engine.known_nodes();
-            if let Some(q) = queries.iter().find(|q| q.node as usize >= known) {
-                return Err(SplashError::UnknownNode { node: q.node, known });
-            }
-        }
+        self.check_batch(&self.models[idx].engine, queries)?;
         self.models[idx].engine.try_predict_batch_into(queries, out)?;
         self.tel.queries_served.add(queries.len() as u64);
+        Ok(())
+    }
+
+    /// The first error a per-query [`SplashService::predict_into`] loop
+    /// would report, in query order: an unknown node under strict node
+    /// checking, else a query time behind the engine's stream clock.
+    fn check_batch(&self, engine: &Engine, queries: &[PropertyQuery]) -> Result<(), SplashError> {
+        let (known, last) = (engine.known_nodes(), engine.last_time());
+        for q in queries {
+            if self.strict_nodes && q.node as usize >= known {
+                return Err(SplashError::UnknownNode { node: q.node, known });
+            }
+            if q.time < last {
+                return Err(SplashError::PastQuery { got: q.time, last });
+            }
+        }
         Ok(())
     }
 

@@ -171,9 +171,9 @@ impl SlimModel {
         }
     }
 
-    /// Sums the (weighted) messages of each query into `sum` and writes the
-    /// per-query mean into `mean` (both pre-sized `(B, d_h)` and zeroed).
-    fn aggregate_messages(&self, m: &Matrix, lens: &[usize], sum: &mut Matrix, mean: &mut Matrix) {
+    /// Sums the (weighted) messages of each query into `sum` (pre-sized
+    /// `(B, d_h)` and zeroed), in slot order.
+    fn sum_messages(&self, m: &Matrix, lens: &[usize], sum: &mut Matrix) {
         for (qi, &len) in lens.iter().enumerate() {
             for slot in 0..len {
                 let src = m.row(qi * self.k + slot);
@@ -182,6 +182,13 @@ impl SlimModel {
                     *o += v;
                 }
             }
+        }
+    }
+
+    /// Writes each query's mean message `sum / len` into `mean` (pre-sized
+    /// `(B, d_h)` and zeroed; rows of message-less queries stay zero).
+    fn mean_messages(lens: &[usize], sum: &Matrix, mean: &mut Matrix) {
+        for (qi, &len) in lens.iter().enumerate() {
             if len > 0 {
                 let inv = 1.0 / len as f32;
                 for (o, &v) in mean.row_mut(qi).iter_mut().zip(sum.row(qi)) {
@@ -227,9 +234,10 @@ impl SlimModel {
         let mut m = ws.take(0, 0);
         self.mlp1.forward_into(&batch.raw, &mut m, &mut cache.mlp1, ws);
         m.scale_rows_assign(&batch.weights);
-        let mut mean = ws.take(b, dh);
         let mut sum = ws.take(b, dh);
-        self.aggregate_messages(&m, &batch.lens, &mut sum, &mut mean);
+        self.sum_messages(&m, &batch.lens, &mut sum);
+        let mut mean = ws.take(b, dh);
+        Self::mean_messages(&batch.lens, &sum, &mut mean);
         let mut concat = ws.take(b, self.feat_dim + dh);
         self.fill_concat(&batch.target, &mean, &mut concat);
         let mut h_tilde = ws.take(0, 0);
@@ -255,16 +263,24 @@ impl SlimModel {
     }
 
     /// Cache-free representation `h_i(t)` (Eq. 18) into `h` — the shared
-    /// trunk of the inference paths.
+    /// trunk of the inference paths. The message sum (Eqs. 14–17) runs
+    /// MLP₁ over the valid message rows only, fused with the edge-weight
+    /// scaling and the per-query sum ([`Mlp::infer_weighted_sum_into`]);
+    /// the training forward keeps the unfused sequence its backward needs.
     fn represent_core(&self, batch: &SlimBatch, h: &mut Matrix, ws: &mut Workspace) {
         let b = batch.lens.len();
         let dh = self.ln1.dim();
-        let mut m = ws.take(0, 0);
-        self.mlp1.infer_into(&batch.raw, &mut m, ws);
-        m.scale_rows_assign(&batch.weights);
-        let mut mean = ws.take(b, dh);
         let mut sum = ws.take(b, dh);
-        self.aggregate_messages(&m, &batch.lens, &mut sum, &mut mean);
+        self.mlp1.infer_weighted_sum_into(
+            &batch.raw,
+            &batch.weights,
+            &batch.lens,
+            self.k,
+            &mut sum,
+            ws,
+        );
+        let mut mean = ws.take(b, dh);
+        Self::mean_messages(&batch.lens, &sum, &mut mean);
         let mut concat = ws.take(b, self.feat_dim + dh);
         self.fill_concat(&batch.target, &mean, &mut concat);
         let mut h_tilde = ws.take(0, 0);
@@ -273,7 +289,6 @@ impl SlimModel {
         self.ln1.infer_into(&h_tilde, h);
         self.ln2.infer_into(&sum, &mut n2);
         h.axpy(self.lambda_s, &n2);
-        ws.give(m);
         ws.give(mean);
         ws.give(sum);
         ws.give(concat);

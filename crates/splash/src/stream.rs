@@ -964,8 +964,7 @@ impl StreamingPredictor {
         for (q, &v) in s.queries.iter_mut().zip(nodes) {
             self.query_input_into(&w.augmenter, v, time, q, &mut s.spare);
         }
-        let refs: Vec<&CapturedQuery> = s.queries[..nodes.len()].iter().collect();
-        self.model.build_batch_into(&refs, &mut s.batch);
+        self.model.build_batch_into(&s.queries[..nodes.len()], &mut s.batch);
         let mut out = Matrix::default();
         self.model.infer_into(&s.batch, &mut out, &mut s.ws);
         Ok(out)

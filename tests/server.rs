@@ -302,6 +302,76 @@ fn wire_replay_is_bit_identical_three_shards() {
     assert_wire_matches_in_process(3);
 }
 
+/// A K-query `/predict` runs as one batched forward. Its rows must equal K
+/// single-query predicts bit for bit — on a SPLASH slot and on an external
+/// baseline slot — and it must count the same served queries.
+#[test]
+fn batched_wire_predict_matches_single_predicts_bitwise() {
+    let (dataset, cfg) = fixture();
+    let mut service = trained_service(&dataset, &cfg, 1);
+    let variant = baselines::parse_variant("jodie+RF").unwrap();
+    let engine = baselines::BaselineEngine::new(variant, &dataset, &cfg).unwrap();
+    service.register_engine("base", Box::new(engine)).unwrap();
+    let t_seen = seen_end_time(&dataset, SEEN_FRAC);
+    let prefix = dataset.stream.prefix_len_at(t_seen);
+    let tail = &dataset.stream.edges()[prefix..prefix + 64];
+    for slot in ["live", "base"] {
+        service.ingest(slot, IngestRequest::new(tail)).unwrap();
+    }
+    let t0 = tail.last().unwrap().time;
+    let known = service.model("live").unwrap().known_nodes() as u32;
+
+    let handle = SplashServer::bind(service, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.addr());
+    // 13 queries: three full 4-row tiles and a remainder, repeated nodes
+    // and one timestamp shared by several queries.
+    let queries: Vec<(u32, f64)> =
+        (0..13u32).map(|i| ((i * 37) % known, t0 + (i / 2) as f64)).collect();
+    for slot in ["live", "base"] {
+        let path = format!("/models/{slot}/predict");
+        let body: String = queries.iter().map(|(n, t)| format!("{n},{t}\n")).collect();
+        let batched = client.request("POST", &path, &[], &body);
+        assert_eq!(batched.status, 200, "{}", batched.body);
+        let mut singles = String::new();
+        for (n, t) in &queries {
+            let reply = client.request("POST", &path, &[], &format!("{n},{t}\n"));
+            assert_eq!(reply.status, 200, "{}", reply.body);
+            singles.push_str(&reply.body);
+        }
+        assert_eq!(batched.body.lines().count(), queries.len());
+        assert_eq!(batched.body, singles, "slot {slot}: batched rows differ from single predicts");
+    }
+    let served = handle.shutdown();
+    assert_eq!(served.stats().queries_served, 2 * 2 * queries.len() as u64);
+}
+
+/// A rejected K-query `/predict` names the error a per-query loop would
+/// stop at first: queries are checked in body order, each for an unknown
+/// node (strict mode) and then for a past timestamp.
+#[test]
+fn batched_wire_predict_reports_the_first_error_in_body_order() {
+    let (dataset, cfg) = fixture();
+    let mut service = SplashService::builder(cfg).strict_nodes(true).build().unwrap();
+    service
+        .train_model_with_process("live", &dataset, FeatureProcess::Random)
+        .unwrap();
+    let t0 = service.model_last_time("live").unwrap();
+    let known = service.model("live").unwrap().known_nodes();
+    let handle = SplashServer::bind(service, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.addr());
+    let (past, unknown) = (format!("1,{}\n", t0 - 1.0), format!("{known},{t0}\n"));
+    let ok = format!("2,{t0}\n");
+    for (body, status, kind) in [
+        (format!("{ok}{past}{unknown}"), 409, "PastQuery"),
+        (format!("{ok}{unknown}{past}"), 422, "UnknownNode"),
+    ] {
+        let reply = client.request("POST", "/models/live/predict", &[], &body);
+        assert_eq!((reply.status, reply.kind.as_deref()), (status, Some(kind)), "{}", reply.body);
+    }
+    // Nothing was served by the rejected batches.
+    assert_eq!(handle.shutdown().stats().queries_served, 0);
+}
+
 /// The typed error taxonomy crosses the wire: status codes from
 /// `SplashError::http_status`, machine-readable kinds in `x-splash-error`.
 #[test]
