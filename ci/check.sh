@@ -25,8 +25,8 @@ if [[ "${1:-}" == "--quick" ]]; then
     exit 0
 fi
 
-echo "==> lint gate: clippy warning-free across the workspace"
-cargo clippy --workspace -- -D warnings
+echo "==> lint gate: clippy warning-free across the workspace, tests included"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> docs gate: rustdoc warning-free on nn + splash"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p nn -p splash

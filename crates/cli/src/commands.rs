@@ -13,7 +13,7 @@ use splash::{
     split_bounds, DurabilityConfig, EngineSpec, FeatureProcess, FineTunePolicy, IngestRequest,
     InputFeatures, LateEdgePolicy, ModelSpec, OnlineConfig, PredictRequest, PredictResponse,
     RecoveryReport, ScenarioConfig, ScenarioSpec, ServerConfig, SplashConfig, SplashServer,
-    SplashService, SEEN_FRAC,
+    SplashService, StreamingPredictor, SEEN_FRAC,
 };
 
 use crate::args::{ArgError, Args};
@@ -248,28 +248,38 @@ fn cmd_run(args: &Args) -> Result<String, ArgError> {
     let _ = writeln!(report, "train/infer (s): {:.2} / {:.3}", out.train_secs, out.infer_secs);
 
     if let Some(path) = save_path {
-        // Retrain the same model deterministically through the lower-level
-        // path (the pipeline call above does not expose the model).
+        // Retrain the same model deterministically (the pipeline call above
+        // does not expose it). A process mode saves the streaming engine —
+        // weights plus its training-prefix state — which `serve` restores;
+        // an ablation mode saves weights only, for `predict`.
         let final_mode = out
             .selected
             .map(InputFeatures::Process)
             .or(mode)
             .expect("run always resolves a feature mode");
-        let cap = capture(&dataset, final_mode, &cfg, SEEN_FRAC);
-        let (train_end, _) = split_bounds(cap.queries.len());
-        let (mut model, _) =
-            splash::train_slim(&cap, &dataset, &cap.queries[..train_end], &cfg);
-        let out_dim = splash::task::output_dim(dataset.task, dataset.num_classes);
-        save_model(
-            std::path::Path::new(&path),
-            &mut model,
-            &cfg,
-            final_mode,
-            cap.feat_dim,
-            cap.edge_feat_dim,
-            out_dim,
-        )
-        .map_err(|e| ArgError(format!("{path}: {e}")))?;
+        let saved = match final_mode {
+            InputFeatures::Process(process) => {
+                StreamingPredictor::train_with_process(&dataset, &cfg, process)
+                    .save(Path::new(&path))
+            }
+            _ => {
+                let cap = capture(&dataset, final_mode, &cfg, SEEN_FRAC);
+                let (train_end, _) = split_bounds(cap.queries.len());
+                let (mut model, _) =
+                    splash::train_slim(&cap, &dataset, &cap.queries[..train_end], &cfg);
+                let out_dim = splash::task::output_dim(dataset.task, dataset.num_classes);
+                save_model(
+                    Path::new(&path),
+                    &mut model,
+                    &cfg,
+                    final_mode,
+                    cap.feat_dim,
+                    cap.edge_feat_dim,
+                    out_dim,
+                )
+            }
+        };
+        saved.map_err(|e| ArgError(format!("{path}: {e}")))?;
         let _ = writeln!(report, "saved model    : {path} (mode {})", final_mode.name());
     }
     Ok(report)

@@ -296,7 +296,8 @@ impl Augmenter {
 
     /// Rebuilds an augmenter from a captured [`AugmenterState`], bypassing
     /// the embedding build and prefix replay of [`Augmenter::with_source`]
-    /// entirely — this is what makes restart O(state) instead of O(stream).
+    /// entirely — this is what makes loading an artifact or a checkpoint
+    /// O(state) instead of O(stream).
     pub(crate) fn from_durable_state(state: AugmenterState, degree_alpha: f32) -> Self {
         Self {
             dv: state.dv,

@@ -1,21 +1,20 @@
 //! Durable streaming state: versioned checkpoints plus an edge WAL.
 //!
-//! The persistence layer ([`crate::persist`]) makes model *weights*
-//! durable; everything else a serving deployment accumulates — per-node
-//! rings, augmenter/tracker state, the stream clock, the online replay
-//! buffer, ingest counters — used to be recoverable only by re-delivering
-//! the entire stream. This module makes that state durable too, so a
-//! `kill -9` mid-ingest restarts in O(state + WAL tail) instead of
-//! O(stream), with the same bit-exact guarantees.
+//! A saved artifact ([`crate::persist`]) restores an engine as it was at
+//! save time; everything a serving deployment accumulates after that —
+//! per-node rings, augmenter/tracker state, the stream clock, the online
+//! replay buffer, ingest counters — would be lost to a crash. This module
+//! makes that state durable, so a `kill -9` mid-ingest restarts in
+//! O(state + WAL tail) with the same bit-exact guarantees. The witness and
+//! ring files use the artifact's section encoders.
 //!
 //! # Layout
 //!
 //! A checkpoint directory holds numbered **epochs**. Epoch `e` consists of
 //!
-//! * `model.<e>.bin` — the standard model artifact ([`crate::persist`]
-//!   format, including the `SAVEDOPT` optimizer trailer); at shard counts
-//!   above one this is the usual `SPLASHS` manifest plus a single
-//!   `model.<e>.bin.shard0` file (shards share weights, stored once);
+//! * `model.<e>.bin` — the model weights as a weights-only artifact
+//!   ([`crate::persist`] format, including the `SAVEDOPT` optimizer
+//!   section); one file at every shard count, since shards share weights;
 //! * `witness.<e>.bin` — the **global witness snapshot** (magic `SPLASHG`):
 //!   the augmenter/tracker state, ring capacity, and stream clock. These
 //!   are global functions of the edge stream (there is exactly one writer),
@@ -24,8 +23,8 @@
 //!   `SPLASHD`): just that shard's per-node rings;
 //! * `state.<e>.bin` — the state **manifest** (magic `SPLASHX`): the
 //!   witness file's name + FNV-1a checksum, per-shard file names +
-//!   checksums (the `SPLASHS` discipline), the durable service counters,
-//!   the optional online replay buffer, and a whole-file checksum;
+//!   checksums, the durable service counters, the optional online replay
+//!   buffer, and a whole-file checksum;
 //! * `wal.<e>.log` — the **append-only edge WAL** (magic `SPLASHW`):
 //!   everything applied since the snapshot, as length-prefixed,
 //!   per-record-checksummed entries, group-committed once per accepted
@@ -63,26 +62,15 @@ use std::sync::{Arc, Mutex};
 
 use ctdg::{Label, PropertyQuery, TemporalEdge};
 use datasets::Task;
-use nn::Matrix;
 
-use crate::augment::AugmenterState;
-use crate::capture::{CapturedNeighbor, CapturedQuery};
+use crate::capture::CapturedQuery;
 use crate::error::SplashError;
 use crate::persist::{
-    self, bad, corrupt_or_io, fnv1a, get_f32, get_u32, get_u64, get_u8, put_f32, put_u32,
-    put_u64, put_u8, sane_dim, SavedModel,
+    self, bad, corrupt_or_io, fnv1a, get_f32, get_f64, get_u32, get_u64, get_u8, put_f32,
+    put_f64, put_u32, put_u64, put_u8, read_neighbor, sane_dim, write_neighbor, SavedModel,
 };
 use crate::stream::{RingState, WitnessSnapshot};
 
-/// Magic of the global witness snapshot file (augmenter + stream clock).
-const WITNESS_MAGIC: &[u8; 8] = b"SPLASHG\x01";
-/// Format revision of the witness snapshot.
-const WITNESS_VERSION: u32 = 1;
-/// Magic of one per-shard ring-partition file.
-const STATE_MAGIC: &[u8; 8] = b"SPLASHD\x01";
-/// Format revision of the ring partition (v2: rings only — the augmenter
-/// and clock moved to the witness file; v1 checkpoints do not load).
-const STATE_VERSION: u32 = 2;
 /// Magic of the state manifest (witness + per-shard checksums + service
 /// sections).
 const STATE_MANIFEST_MAGIC: &[u8; 8] = b"SPLASHX\x01";
@@ -110,13 +98,6 @@ const WAL_PUBLISH: u8 = 4;
 /// beyond this is garbage: mid-file it is corruption, at the tail it is a
 /// torn write.
 const MAX_WAL_RECORD: u64 = 1 << 30;
-/// Upper bound on node-indexed table lengths parsed from a state file
-/// (node ids are `u32`).
-const MAX_NODES: u64 = 1 << 32;
-/// Upper bound on any single state-file tensor/table allocation (elements),
-/// so a corrupt count surfaces as a typed error instead of an allocation
-/// abort — the same discipline as [`crate::persist`]'s `MAX_TENSOR_ELEMS`.
-const MAX_STATE_ELEMS: u64 = 1 << 30;
 
 /// The name of the committed-epoch pointer file.
 const CURRENT_FILE: &str = "CURRENT";
@@ -542,11 +523,7 @@ impl DurableLog {
 
         let model_path = cfg.dir.join(format!("model.{epoch}.bin"));
         require_checkpoint_file(&model_path, epoch)?;
-        let saved = if persist::is_sharded_artifact(&model_path)? {
-            persist::load_sharded_model(&model_path)?.1
-        } else {
-            persist::load_model(&model_path)?
-        };
+        let saved = persist::load_model(&model_path)?;
 
         let state_path = cfg.dir.join(format!("state.{epoch}.bin"));
         require_checkpoint_file(&state_path, epoch)?;
@@ -564,12 +541,12 @@ impl DurableLog {
             }
             Ok(bytes)
         };
-        let witness =
-            read_witness_snapshot(&read_verified(&witness_file.0, witness_file.1)?)?;
+        let witness_bytes = read_verified(&witness_file.0, witness_file.1)?;
+        let witness = persist::read_witness(&mut witness_bytes.as_slice())?;
         let mut ring_shards = Vec::with_capacity(shard_files.len());
         for (name, checksum) in &shard_files {
             let bytes = read_verified(name, *checksum)?;
-            ring_shards.push(read_state_shard(&bytes, witness.k)?);
+            ring_shards.push(persist::read_rings(&mut bytes.as_slice(), witness.k)?);
         }
 
         let wal_path = cfg.dir.join(format!("wal.{epoch}.log"));
@@ -705,6 +682,16 @@ fn require_checkpoint_file(path: &Path, epoch: u64) -> Result<(), SplashError> {
 // ---------------------------------------------------------------------------
 // Checkpoint writing.
 
+/// The file name of ring partition `index` of state manifest `path`
+/// (`<manifest-name>.shard<index>` in the same directory).
+fn shard_file_path(path: &Path, index: usize) -> PathBuf {
+    let name = path
+        .file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_else(|| "state".into());
+    path.with_file_name(format!("{name}.shard{index}"))
+}
+
 /// `<path>.tmp`, in the same directory (so the rename is atomic).
 fn tmp_path(path: &Path) -> PathBuf {
     let name = path
@@ -756,33 +743,16 @@ fn write_checkpoint(
         });
     }
 
-    // 1. Model artifact (the persist-format bytes; shards share weights,
-    //    so a sharded checkpoint stores them once behind a manifest).
+    // 1. Model weights: a weights-only artifact (the persist format,
+    //    `SAVEDOPT` included), one file at every shard count — shards
+    //    share weights.
     let model_path = dir.join(format!("model.{epoch}.bin"));
-    if shards == 1 {
-        write_file_atomic(faults, "model", &model_path, &data.model_bytes)?;
-    } else {
-        let checksum = fnv1a(&data.model_bytes);
-        let shard_path = persist::shard_file_path(&model_path, 0);
-        write_file_atomic(faults, "model.shard0", &shard_path, &data.model_bytes)?;
-        let name = shard_path
-            .file_name()
-            .expect("shard_file_path always has a file name")
-            .to_string_lossy()
-            .into_owned();
-        let mut manifest = Vec::new();
-        manifest.extend_from_slice(persist::SHARD_MAGIC);
-        put_u32(&mut manifest, persist::SHARD_VERSION).map_err(SplashError::Io)?;
-        put_u64(&mut manifest, shards as u64).map_err(SplashError::Io)?;
-        put_u64(&mut manifest, name.len() as u64).map_err(SplashError::Io)?;
-        manifest.extend_from_slice(name.as_bytes());
-        put_u64(&mut manifest, checksum).map_err(SplashError::Io)?;
-        write_file_atomic(faults, "model.manifest", &model_path, &manifest)?;
-    }
+    write_file_atomic(faults, "model", &model_path, &data.model_bytes)?;
 
     // 2. The global witness snapshot — one file regardless of shard count.
     let witness_path = dir.join(format!("witness.{epoch}.bin"));
-    let witness_bytes = witness_snapshot_bytes(&data.witness).map_err(SplashError::Io)?;
+    let mut witness_bytes = Vec::new();
+    persist::write_witness(&mut witness_bytes, &data.witness).map_err(SplashError::Io)?;
     write_file_atomic(faults, "witness", &witness_path, &witness_bytes)?;
     let witness_file = (
         witness_path
@@ -797,8 +767,9 @@ fn write_checkpoint(
     let state_path = dir.join(format!("state.{epoch}.bin"));
     let mut shard_files = Vec::with_capacity(shards);
     for (i, rings) in data.ring_shards.iter().enumerate() {
-        let bytes = state_shard_bytes(rings, i, shards).map_err(SplashError::Io)?;
-        let shard_path = persist::shard_file_path(&state_path, i);
+        let mut bytes = Vec::new();
+        persist::write_rings(&mut bytes, rings, i, shards).map_err(SplashError::Io)?;
+        let shard_path = shard_file_path(&state_path, i);
         write_file_atomic(faults, &format!("state.shard{i}"), &shard_path, &bytes)?;
         let name = shard_path
             .file_name()
@@ -924,291 +895,6 @@ fn durable_file_epoch(name: &str) -> Option<u64> {
         || (suffix.starts_with("bin.shard")
             && suffix["bin.shard".len()..].parse::<u64>().is_ok());
     valid.then_some(epoch)
-}
-
-// ---------------------------------------------------------------------------
-// State snapshot encoding.
-
-fn put_f64<W: Write>(w: &mut W, v: f64) -> io::Result<()> {
-    w.write_all(&v.to_bits().to_le_bytes())
-}
-
-fn get_f64<R: Read>(r: &mut R) -> io::Result<f64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(f64::from_bits(u64::from_le_bytes(b)))
-}
-
-fn write_matrix<W: Write>(w: &mut W, m: &Matrix) -> io::Result<()> {
-    put_u64(w, m.rows() as u64)?;
-    put_u64(w, m.cols() as u64)?;
-    for &x in m.data() {
-        put_f32(w, x)?;
-    }
-    Ok(())
-}
-
-fn read_matrix<R: Read>(r: &mut R, what: &str) -> io::Result<Matrix> {
-    let rows = get_u64(r)?;
-    let cols = get_u64(r)?;
-    if rows > MAX_NODES || cols > persist::MAX_DIM || rows.saturating_mul(cols) > MAX_STATE_ELEMS
-    {
-        return Err(bad(format!("impossible {what} shape {rows}x{cols}")));
-    }
-    let mut m = Matrix::zeros(rows as usize, cols as usize);
-    for x in m.data_mut() {
-        *x = get_f32(r)?;
-    }
-    Ok(m)
-}
-
-fn write_prop<W: Write>(w: &mut W, prop: &[Option<Vec<f32>>]) -> io::Result<()> {
-    put_u64(w, prop.len() as u64)?;
-    for slot in prop {
-        match slot {
-            None => put_u8(w, 0)?,
-            Some(f) => {
-                put_u8(w, 1)?;
-                put_u64(w, f.len() as u64)?;
-                for &x in f {
-                    put_f32(w, x)?;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-fn read_prop<R: Read>(r: &mut R, dv: usize, what: &str) -> io::Result<Vec<Option<Vec<f32>>>> {
-    let len = get_u64(r)?;
-    if len > MAX_NODES {
-        return Err(bad(format!("impossible {what} length {len}")));
-    }
-    let mut out = Vec::with_capacity(len.min(1 << 20) as usize);
-    for _ in 0..len {
-        match get_u8(r)? {
-            0 => out.push(None),
-            1 => {
-                let n = get_u64(r)? as usize;
-                if n != dv {
-                    return Err(bad(format!(
-                        "{what} entry has {n} elements, feature dim is {dv}"
-                    )));
-                }
-                let mut f = vec![0.0f32; n];
-                for x in &mut f {
-                    *x = get_f32(r)?;
-                }
-                out.push(Some(f));
-            }
-            t => return Err(bad(format!("unknown {what} slot tag {t}"))),
-        }
-    }
-    Ok(out)
-}
-
-fn write_neighbor<W: Write>(w: &mut W, e: &CapturedNeighbor) -> io::Result<()> {
-    put_u32(w, e.other)?;
-    put_f64(w, e.time)?;
-    put_f32(w, e.weight)?;
-    put_u64(w, e.feat.len() as u64)?;
-    for &x in &e.feat {
-        put_f32(w, x)?;
-    }
-    put_u64(w, e.edge_feat.len() as u64)?;
-    for &x in &e.edge_feat {
-        put_f32(w, x)?;
-    }
-    Ok(())
-}
-
-fn read_neighbor<R: Read>(r: &mut R) -> io::Result<CapturedNeighbor> {
-    let other = get_u32(r)?;
-    let time = get_f64(r)?;
-    let weight = get_f32(r)?;
-    let feat_len = sane_dim("ring-entry feature width", get_u64(r)?)?;
-    let mut feat = vec![0.0f32; feat_len];
-    for x in &mut feat {
-        *x = get_f32(r)?;
-    }
-    let edge_len = sane_dim("ring-entry edge-feature width", get_u64(r)?)?;
-    let mut edge_feat = vec![0.0f32; edge_len];
-    for x in &mut edge_feat {
-        *x = get_f32(r)?;
-    }
-    Ok(CapturedNeighbor { other, feat, edge_feat, time, weight })
-}
-
-/// Serializes the global witness snapshot: stream clock, ring capacity,
-/// and the full augmenter/tracker state — everything that is a global
-/// function of the edge stream, written once per checkpoint.
-fn witness_snapshot_bytes(witness: &WitnessSnapshot) -> io::Result<Vec<u8>> {
-    let mut w = Vec::new();
-    w.extend_from_slice(WITNESS_MAGIC);
-    put_u32(&mut w, WITNESS_VERSION)?;
-    put_f64(&mut w, witness.last_time)?;
-    put_u64(&mut w, witness.k as u64)?;
-
-    let a = &witness.augmenter;
-    put_u64(&mut w, a.dv as u64)?;
-    put_u64(&mut w, a.seen.len() as u64)?;
-    for &b in &a.seen {
-        put_u8(&mut w, b as u8)?;
-    }
-    write_matrix(&mut w, &a.random_seen)?;
-    write_matrix(&mut w, &a.positional_seen)?;
-    write_prop(&mut w, &a.random_prop)?;
-    write_prop(&mut w, &a.positional_prop)?;
-    put_u64(&mut w, a.degrees.len() as u64)?;
-    for &d in &a.degrees {
-        put_u64(&mut w, d)?;
-    }
-    put_u64(&mut w, a.degrees_total)?;
-    Ok(w)
-}
-
-/// Parses the witness file (already checksum-verified against the state
-/// manifest).
-fn read_witness_snapshot(bytes: &[u8]) -> Result<WitnessSnapshot, SplashError> {
-    let mut r = bytes;
-    let r = &mut r;
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic).map_err(corrupt_or_io)?;
-    if &magic != WITNESS_MAGIC {
-        return Err(SplashError::CorruptModel {
-            what: "not a SPLASH witness snapshot (bad magic)".into(),
-        });
-    }
-    let version = get_u32(r).map_err(corrupt_or_io)?;
-    if version != WITNESS_VERSION {
-        return Err(SplashError::PersistVersionMismatch {
-            found: version,
-            supported: WITNESS_VERSION,
-        });
-    }
-    read_witness_body(r).map_err(corrupt_or_io)
-}
-
-fn read_witness_body<R: Read>(r: &mut R) -> io::Result<WitnessSnapshot> {
-    let last_time = get_f64(r)?;
-    let k = sane_dim("ring capacity", get_u64(r)?)?;
-
-    let dv = sane_dim("feature dim", get_u64(r)?)?;
-    let seen_len = get_u64(r)?;
-    if seen_len > MAX_NODES {
-        return Err(bad(format!("impossible seen-table length {seen_len}")));
-    }
-    let mut seen = Vec::with_capacity(seen_len.min(1 << 20) as usize);
-    for _ in 0..seen_len {
-        seen.push(match get_u8(r)? {
-            0 => false,
-            1 => true,
-            t => return Err(bad(format!("seen flag is {t}, not 0/1"))),
-        });
-    }
-    let random_seen = read_matrix(r, "random-feature table")?;
-    let positional_seen = read_matrix(r, "positional-feature table")?;
-    if random_seen.cols() != dv || positional_seen.cols() != dv {
-        return Err(bad("feature tables disagree with the feature dim".to_string()));
-    }
-    let random_prop = read_prop(r, dv, "propagated random features")?;
-    let positional_prop = read_prop(r, dv, "propagated positional features")?;
-    let deg_len = get_u64(r)?;
-    if deg_len > MAX_NODES {
-        return Err(bad(format!("impossible degree-table length {deg_len}")));
-    }
-    let mut degrees = Vec::with_capacity(deg_len.min(1 << 20) as usize);
-    for _ in 0..deg_len {
-        degrees.push(get_u64(r)?);
-    }
-    let degrees_total = get_u64(r)?;
-
-    Ok(WitnessSnapshot {
-        augmenter: AugmenterState {
-            dv,
-            seen,
-            random_seen,
-            positional_seen,
-            random_prop,
-            positional_prop,
-            degrees,
-            degrees_total,
-        },
-        k,
-        last_time,
-    })
-}
-
-/// Serializes one shard's ring partition (v2: rings only — the witness
-/// travels in its own file).
-fn state_shard_bytes(rings: &[RingState], shard: usize, shards: usize) -> io::Result<Vec<u8>> {
-    let mut w = Vec::new();
-    w.extend_from_slice(STATE_MAGIC);
-    put_u32(&mut w, STATE_VERSION)?;
-    put_u64(&mut w, shard as u64)?;
-    put_u64(&mut w, shards as u64)?;
-    put_u64(&mut w, rings.len() as u64)?;
-    for ring in rings {
-        put_u32(&mut w, ring.node)?;
-        put_u64(&mut w, ring.head as u64)?;
-        put_u64(&mut w, ring.entries.len() as u64)?;
-        for e in &ring.entries {
-            write_neighbor(&mut w, e)?;
-        }
-    }
-    Ok(w)
-}
-
-/// Parses one shard's ring-partition file (already checksum-verified
-/// against the manifest). `k` is the witness's ring capacity, bounding
-/// every ring's entry count.
-fn read_state_shard(bytes: &[u8], k: usize) -> Result<Vec<RingState>, SplashError> {
-    let mut r = bytes;
-    let r = &mut r;
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic).map_err(corrupt_or_io)?;
-    if &magic != STATE_MAGIC {
-        return Err(SplashError::CorruptModel {
-            what: "not a SPLASH state snapshot (bad magic)".into(),
-        });
-    }
-    let version = get_u32(r).map_err(corrupt_or_io)?;
-    if version != STATE_VERSION {
-        return Err(SplashError::PersistVersionMismatch {
-            found: version,
-            supported: STATE_VERSION,
-        });
-    }
-    read_state_body(r, k).map_err(corrupt_or_io)
-}
-
-fn read_state_body<R: Read>(r: &mut R, k: usize) -> io::Result<Vec<RingState>> {
-    let _shard = get_u64(r)?;
-    let shards = get_u64(r)?;
-    if shards == 0 || shards > 1 << 20 {
-        return Err(bad(format!("impossible shard count {shards}")));
-    }
-    let ring_count = get_u64(r)?;
-    if ring_count > MAX_NODES {
-        return Err(bad(format!("impossible ring count {ring_count}")));
-    }
-    let mut rings = Vec::with_capacity(ring_count.min(1 << 20) as usize);
-    for _ in 0..ring_count {
-        let node = get_u32(r)?;
-        let head = get_u64(r)? as usize;
-        let entries_len = get_u64(r)? as usize;
-        if entries_len > k || head >= entries_len.max(1) {
-            return Err(bad(format!(
-                "ring for node {node} is inconsistent ({entries_len} entries, head {head}, k={k})"
-            )));
-        }
-        let mut entries = Vec::with_capacity(entries_len);
-        for _ in 0..entries_len {
-            entries.push(read_neighbor(r)?);
-        }
-        rings.push(RingState { node, head, entries });
-    }
-    Ok(rings)
 }
 
 // ---------------------------------------------------------------------------
@@ -1660,10 +1346,11 @@ mod tests {
     #[test]
     fn durable_writer_passes_through_without_a_fault() {
         let mut sink = Vec::new();
-        let mut w = DurableWriter::new(&mut sink);
-        w.write_all(b"hello").unwrap();
-        assert_eq!(w.written(), 5);
-        drop(w);
+        {
+            let mut w = DurableWriter::new(&mut sink);
+            w.write_all(b"hello").unwrap();
+            assert_eq!(w.written(), 5);
+        }
         assert_eq!(sink, b"hello");
     }
 

@@ -33,9 +33,9 @@
 //! witness — the global feature tracker and stream clock, updated once
 //! per edge — plus N hash-partitioned ring partitions served by
 //! [`ShardedPredictor`] engines: scatter–gather queries, routed ingest
-//! where each shard touches only its owned edges, sharded persistence
-//! with one shared model file — output bit-identical to the single
-//! engine at every shard count.
+//! where each shard touches only its owned edges, persistence as one
+//! self-contained artifact at any shard count — output bit-identical to
+//! the single engine at every shard count.
 //!
 //! For **continual learning**, the [`online`] module fine-tunes a served
 //! model from the live label stream without downtime: a hot-standby
@@ -61,13 +61,13 @@
 //! from this one source of truth.
 //!
 //! For **durability**, the [`durable`] module checkpoints the streaming
-//! state the model artifact does not carry — per-node rings, augmenter
-//! and degree-tracker state, the stream clock, the online replay buffer —
-//! and fills the gap between checkpoints with an append-only, checksummed
-//! edge WAL. A `kill -9` at *any* byte restarts bit-identically to a
-//! process that never crashed, in O(state + WAL tail) instead of
-//! O(stream); the [`FaultPlan`] / [`DurableWriter`] seam lets the test
-//! suite prove exactly that, one injected crash offset at a time.
+//! state as it evolves — per-node rings, augmenter and degree-tracker
+//! state, the stream clock, the online replay buffer — and fills the gap
+//! between checkpoints with an append-only, checksummed edge WAL. A
+//! `kill -9` at *any* byte restarts bit-identically to a process that
+//! never crashed, in O(state + WAL tail) instead of O(stream); the
+//! [`FaultPlan`] / [`DurableWriter`] seam lets the test suite prove
+//! exactly that, one injected crash offset at a time.
 
 #![deny(missing_docs)]
 
@@ -98,10 +98,7 @@ pub use config::{PositionalSource, SplashConfig};
 pub use durable::{DurabilityConfig, DurableWriter, FaultPlan, RecoveryReport};
 pub use error::SplashError;
 pub use online::{FineTunePolicy, FineTuneReport, OnlineConfig, OnlineTrainer};
-pub use persist::{
-    load_manifest, load_model, load_sharded_model, save_model, save_model_with_opt,
-    save_sharded_model, save_sharded_model_with_opt, SavedModel, ShardFileEntry, ShardManifest,
-};
+pub use persist::{load_model, save_model, SavedModel};
 pub use pipeline::{
     predict_slim, represent_slim, run_slim_with, run_slim_with_frac, run_splash,
     run_splash_frac, split_bounds, split_bounds_frac, train_slim, try_run_slim_with,

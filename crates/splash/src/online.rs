@@ -31,11 +31,12 @@
 //! count, buffer contents in insertion order): windows are swept in
 //! insertion order (no shuffling), and the optimizer steps through
 //! [`nn::Adam::step_visit`]. Checkpointing therefore only needs the
-//! weights plus the optimizer state — exactly what
-//! [`crate::persist::save_model_with_opt`]'s `SAVEDOPT` section carries —
-//! and a restart that re-delivers the same stream continues
-//! **bit-identically** to a run that never stopped (pinned at shard
-//! counts 1 and 3 by `crates/splash/tests/online.rs`).
+//! weights plus the optimizer state — exactly what an artifact's
+//! `SAVEDOPT` section carries ([`crate::SplashService::save_model`]) — and
+//! since the artifact also carries the streaming state, a restart that
+//! carries on with the stream continues **bit-identically** to a run that
+//! never stopped (pinned at shard counts 1 and 3 by
+//! `crates/splash/tests/online.rs`).
 //!
 //! The replay buffer itself is deliberately *not* persisted: buffered
 //! examples are in-flight stream data, and streams are the source of

@@ -1,49 +1,84 @@
 //! Save and load trained SLIM models.
 //!
-//! A saved file carries everything needed to rebuild a deployable
-//! predictor: the full [`SplashConfig`], the selected augmentation process,
-//! the model's input/output dimensions, and every trainable parameter.
-//! Feature augmentation itself is *not* stored — the augmenter is fully
-//! determined by the training stream and the (seeded) config, so a loaded
-//! model paired with the same training prefix reproduces the original
-//! predictor bit-for-bit (see `roundtrip_predictions_are_identical`).
+//! A saved file is one self-contained **artifact**: the full
+//! [`SplashConfig`], the feature mode, the model's input/output
+//! dimensions, every trainable parameter, the optional `SAVEDOPT`
+//! optimizer section and — for a streaming engine — the engine's
+//! streaming state: the witness (augmenter tables, ring capacity `k`,
+//! stream clock) and every per-node ring, merged across shards. Loading
+//! decodes that state instead of re-running the positional embedding and
+//! replaying the training prefix, so an artifact restores exactly the
+//! engine that saved it, at any shard count: a checkpoint without a WAL.
+//! A weights-only file ([`save_model`], a durable checkpoint's
+//! `model.<e>.bin`) carries no state and cannot back a streaming engine on
+//! its own.
 //!
-//! The on-disk format is a little-endian binary layout with an 8-byte magic
-//! and a format-version word, written and parsed by hand: the model is a
-//! flat list of shaped `f32` tensors plus a dozen scalars, which does not
-//! justify a serialization dependency.
+//! # Layout
+//!
+//! Little-endian, written and parsed by hand: the model is a flat list of
+//! shaped `f32` tensors plus a dozen scalars, which does not justify a
+//! serialization dependency.
+//!
+//! | section   | content |
+//! |-----------|---------|
+//! | header    | magic `SPLASHM\x01`, format version `u32` (3) |
+//! | weights   | config, feature mode, dimensions, every parameter tensor |
+//! | `SAVEDOPT`| optional: Adam step count and moments |
+//! | witness   | optional: magic `SPLASHG`, augmenter tables, `k`, clock |
+//! | rings     | with the witness: magic `SPLASHD`, every non-empty ring |
+//! | checksum  | FNV-1a (64-bit) of every byte before it |
+//!
+//! The witness and ring sections use the same encoders as the durable
+//! checkpoint's `witness.<e>.bin` and `state.<e>.bin.shard<i>` files
+//! ([`crate::durable`]), which call into this module.
 //!
 //! Failures are typed ([`SplashError`]): a file that is not a SPLASH model
-//! or has been damaged loads as [`SplashError::CorruptModel`], a file from
-//! an incompatible format revision as
+//! or has been damaged loads as [`SplashError::CorruptModel`] (a flipped
+//! byte names the checksum), a file from another format revision —
+//! including every file written before the state sections existed and the
+//! retired `SPLASHS` shard manifests — as
 //! [`SplashError::PersistVersionMismatch`], and plain filesystem trouble
 //! as [`SplashError::Io`] — so a serving layer can distinguish "retry with
 //! the right file" from "re-export the model" from "fix the disk".
 
-use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 use std::path::Path;
 
 use embed::{GraRepConfig, Node2VecConfig};
 use nn::{Matrix, Parameterized};
 use rand::{rngs::StdRng, SeedableRng};
 
-use crate::augment::FeatureProcess;
-use crate::capture::InputFeatures;
+use crate::augment::{AugmenterState, FeatureProcess};
+use crate::capture::{CapturedNeighbor, InputFeatures};
 use crate::config::{PositionalSource, SplashConfig};
 use crate::error::SplashError;
 use crate::slim::{AdamState, SlimModel};
+use crate::stream::{assemble_stream_state, RingState, StreamState, WitnessSnapshot};
 
 const MAGIC: &[u8; 8] = b"SPLASHM\x01";
-const VERSION: u32 = 1;
+/// Format revision of the artifact. v3 adds the witness, ring and
+/// checksum sections; it is numbered past the retired `SPLASHS` manifest's
+/// v2 so that every older file reports an older version.
+const VERSION: u32 = 3;
 
-/// Tag of the optional trailing optimizer-state section
-/// ([`save_model_with_opt`]). Files without it load with `opt: None`, and
-/// readers from before this section existed simply never read past the
-/// parameters — both directions stay compatible within [`VERSION`].
+/// Magic of the retired sharded manifest (v1 and v2). Recognised only to
+/// report such a file as [`SplashError::PersistVersionMismatch`].
+const LEGACY_SHARD_MAGIC: &[u8; 8] = b"SPLASHS\x01";
+
+/// Tag of the optional optimizer-state section ([`SavedModel::opt`]).
 const OPT_MAGIC: &[u8; 8] = b"SAVEDOPT";
 /// Format revision of the optimizer-state section.
 const OPT_VERSION: u32 = 1;
+
+/// Magic of a witness section (augmenter + ring capacity + stream clock).
+const WITNESS_MAGIC: &[u8; 8] = b"SPLASHG\x01";
+/// Format revision of the witness section.
+const WITNESS_VERSION: u32 = 1;
+/// Magic of a ring section.
+const RINGS_MAGIC: &[u8; 8] = b"SPLASHD\x01";
+/// Format revision of the ring section (v2: rings only — the augmenter
+/// and clock live in the witness section).
+const RINGS_VERSION: u32 = 2;
 
 /// Upper bound on any persisted structural dimension. A corrupt (or
 /// hostile) file claiming `hidden = 2^60` used to abort the process on
@@ -59,16 +94,13 @@ pub(crate) const MAX_DIM: u64 = 1 << 20;
 /// per-tensor products are bounded too, before `SlimModel::new` runs.
 const MAX_TENSOR_ELEMS: u64 = 1 << 26;
 
-/// Magic of a *sharded* artifact manifest (distinct from the single-model
-/// [`MAGIC`], so [`is_sharded_artifact`] can sniff a path cheaply).
-pub(crate) const SHARD_MAGIC: &[u8; 8] = b"SPLASHS\x01";
-/// Format revision of the manifest layout.
-pub(crate) const SHARD_VERSION: u32 = 2;
-
-/// The last manifest revision that duplicated the model bytes into one
-/// file per shard. Still loadable (shards share weights, so any of the N
-/// identical files restores the model); no longer written.
-pub(crate) const SHARD_VERSION_DUPLICATED: u32 = 1;
+/// Upper bound on node-indexed table lengths parsed from a state section
+/// (node ids are `u32`).
+pub(crate) const MAX_NODES: u64 = 1 << 32;
+/// Upper bound on any single state-section table allocation (elements),
+/// so a corrupt count surfaces as a typed error instead of an allocation
+/// abort — the same discipline as [`MAX_TENSOR_ELEMS`].
+const MAX_STATE_ELEMS: u64 = 1 << 30;
 
 /// A model restored from disk, with everything needed to serve it.
 #[derive(Debug)]
@@ -88,9 +120,13 @@ pub struct SavedModel {
     /// The restored model.
     pub model: SlimModel,
     /// Checkpointed optimizer state, when the file carries a `SAVEDOPT`
-    /// section ([`save_model_with_opt`]) — what makes resumed online
+    /// section (saved from an online model) — what makes resumed online
     /// fine-tuning bit-identical to an uninterrupted run.
     pub opt: Option<AdamState>,
+    /// The streaming engine's state at save time (witness plus every
+    /// ring); `None` for a weights-only file. Checked against the model
+    /// when an engine is built from it.
+    pub(crate) state: Option<StreamState>,
 }
 
 impl SavedModel {
@@ -103,7 +139,11 @@ impl SavedModel {
     }
 }
 
-/// Writes `model` and its context to `path`.
+/// Writes `model` and its context to `path` as a weights-only artifact
+/// (no streaming state). The pipeline's ablation runs save this way;
+/// streaming engines save through [`crate::StreamingPredictor::save`],
+/// [`crate::ShardedPredictor::save`] or
+/// [`crate::SplashService::save_model`], which add the witness and rings.
 ///
 /// `model` is taken mutably only because parameter access goes through
 /// [`Parameterized::params_mut`]; values are not modified.
@@ -116,35 +156,19 @@ pub fn save_model(
     edge_feat_dim: usize,
     out_dim: usize,
 ) -> Result<(), SplashError> {
-    save_model_with_opt(path, model, cfg, mode, feat_dim, edge_feat_dim, out_dim, None)
-}
-
-/// [`save_model`] plus an optional `SAVEDOPT` trailer carrying the Adam
-/// moments and step count of an online fine-tuning run, so the artifact
-/// restores not just the weights but the optimizer mid-flight
-/// ([`SavedModel::opt`]).
-#[allow(clippy::too_many_arguments)]
-pub fn save_model_with_opt(
-    path: &Path,
-    model: &mut SlimModel,
-    cfg: &SplashConfig,
-    mode: InputFeatures,
-    feat_dim: usize,
-    edge_feat_dim: usize,
-    out_dim: usize,
-    opt: Option<&AdamState>,
-) -> Result<(), SplashError> {
-    let mut w = BufWriter::new(File::create(path)?);
-    write_model(&mut w, model, cfg, mode, feat_dim, edge_feat_dim, out_dim, opt)?;
-    w.flush()?;
+    let bytes =
+        artifact_bytes(model, cfg, mode, feat_dim, edge_feat_dim, out_dim, None, None)?;
+    std::fs::write(path, bytes)?;
     Ok(())
 }
 
-/// [`save_model`]'s body against any writer (the sharded save serializes
-/// once into memory and fans the bytes out to N files).
+/// Serializes a complete artifact into memory: header, weights, the
+/// optional `SAVEDOPT` section, the optional streaming state (`witness`
+/// plus `rings`, merged across shards) and the trailing checksum. The
+/// durable checkpoint writes the weights-only form of these bytes through
+/// its crash-injection seam; every save writes them to a file.
 #[allow(clippy::too_many_arguments)]
-fn write_model<W: Write>(
-    mut w: W,
+pub(crate) fn artifact_bytes(
     model: &mut SlimModel,
     cfg: &SplashConfig,
     mode: InputFeatures,
@@ -152,7 +176,9 @@ fn write_model<W: Write>(
     edge_feat_dim: usize,
     out_dim: usize,
     opt: Option<&AdamState>,
-) -> Result<(), SplashError> {
+    state: Option<(&WitnessSnapshot, &[RingState])>,
+) -> Result<Vec<u8>, SplashError> {
+    let mut w = Vec::new();
     w.write_all(MAGIC)?;
     put_u32(&mut w, VERSION)?;
     write_config(&mut w, cfg)?;
@@ -196,93 +222,64 @@ fn write_model<W: Write>(
             }
         }
     }
-    Ok(())
+    if let Some((witness, rings)) = state {
+        write_witness(&mut w, witness)?;
+        write_rings(&mut w, rings, 0, 1)?;
+    }
+    let checksum = fnv1a(&w);
+    put_u64(&mut w, checksum)?;
+    Ok(w)
 }
 
-/// Serializes a complete single-model artifact (magic, config, parameters,
-/// optional `SAVEDOPT` trailer) into memory. The durable checkpoint layer
-/// writes these bytes through its crash-injection seam instead of straight
-/// to a file, so `write_model` stays the single source of format truth.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn model_artifact_bytes(
-    model: &mut SlimModel,
-    cfg: &SplashConfig,
-    mode: InputFeatures,
-    feat_dim: usize,
-    edge_feat_dim: usize,
-    out_dim: usize,
-    opt: Option<&AdamState>,
-) -> Result<Vec<u8>, SplashError> {
-    let mut bytes = Vec::new();
-    write_model(&mut bytes, model, cfg, mode, feat_dim, edge_feat_dim, out_dim, opt)?;
-    Ok(bytes)
-}
-
-/// Reads a model written by [`save_model`].
+/// Reads an artifact written by any save.
 ///
-/// Typed failures: a wrong magic, truncation, or impossible tags/shapes
-/// load as [`SplashError::CorruptModel`]; a recognisable SPLASH file from
-/// another format revision as [`SplashError::PersistVersionMismatch`];
-/// filesystem errors as [`SplashError::Io`].
+/// Typed failures: a wrong magic, truncation, a checksum mismatch, or
+/// impossible tags/shapes load as [`SplashError::CorruptModel`]; a
+/// recognisable SPLASH file from another format revision as
+/// [`SplashError::PersistVersionMismatch`]; filesystem errors as
+/// [`SplashError::Io`].
 pub fn load_model(path: &Path) -> Result<SavedModel, SplashError> {
-    read_model(BufReader::new(File::open(path)?))
+    read_artifact(&std::fs::read(path)?)
 }
 
-/// [`load_model`]'s body against any reader (the sharded load parses shard
-/// 0 from the bytes it already checksummed instead of re-reading the file).
-fn read_model<R: Read>(mut r: R) -> Result<SavedModel, SplashError> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic).map_err(corrupt_or_io)?;
-    if &magic != MAGIC {
+/// [`load_model`]'s body over the file's bytes: header, checksum, then the
+/// sections in order.
+fn read_artifact(bytes: &[u8]) -> Result<SavedModel, SplashError> {
+    let truncated = || SplashError::CorruptModel { what: "file is truncated".into() };
+    let magic = bytes.get(..8).ok_or_else(truncated)?;
+    if magic != MAGIC && magic != LEGACY_SHARD_MAGIC {
         return Err(SplashError::CorruptModel {
             what: "not a SPLASH model file (bad magic)".into(),
         });
     }
-    let version = get_u32(&mut r).map_err(corrupt_or_io)?;
-    if version != VERSION {
+    let version = bytes.get(8..12).ok_or_else(truncated)?;
+    let version = u32::from_le_bytes(version.try_into().expect("four bytes"));
+    if magic == LEGACY_SHARD_MAGIC || version != VERSION {
         return Err(SplashError::PersistVersionMismatch { found: version, supported: VERSION });
     }
-    read_body(&mut r).map_err(corrupt_or_io)
+    let body_end = bytes.len().checked_sub(8).filter(|&end| end >= 12).ok_or_else(truncated)?;
+    let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("eight bytes"));
+    if fnv1a(&bytes[..body_end]) != stored {
+        return Err(SplashError::CorruptModel {
+            what: "artifact fails its checksum (damaged or truncated)".into(),
+        });
+    }
+    let mut r = &bytes[12..body_end];
+    let mut saved = read_weights(&mut r).map_err(corrupt_or_io)?;
+    if r.starts_with(WITNESS_MAGIC) {
+        let witness = read_witness(&mut r)?;
+        let rings = read_rings(&mut r, witness.k)?;
+        saved.state = Some(assemble_stream_state(witness, vec![rings])?);
+    }
+    if !r.is_empty() {
+        return Err(SplashError::CorruptModel {
+            what: "trailing bytes are not a SAVEDOPT or streaming-state section".into(),
+        });
+    }
+    Ok(saved)
 }
 
-// ---------------------------------------------------------------------------
-// Sharded artifacts: a manifest plus one shared model file.
-//
-// In the sharding design ([`crate::shard`]) every shard serves the *same*
-// trained weights — what a shard owns is streaming state (rings), and that
-// state is rebuilt from the training stream on load, exactly like the
-// single-engine path. A sharded artifact therefore is ONE model file (a
-// standard [`save_model`] artifact, so it restores through [`load_model`]
-// on its own) plus a manifest recording the shard count and the file's
-// checksum. Because the shard count is data, not architecture, a model
-// saved at N shards loads at any M ("resharding-on-load").
-//
-// Manifest v1 duplicated the model bytes into one file per shard; those
-// artifacts still load (every listed file is checksummed, the model parses
-// from the first), but new saves write the deduplicated v2 layout.
-
-/// One entry of a [`ShardManifest`]: a model file (named relative to the
-/// manifest's directory) and the FNV-1a checksum of its bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardFileEntry {
-    /// File name, relative to the manifest's parent directory.
-    pub name: String,
-    /// FNV-1a (64-bit) checksum of the file's bytes.
-    pub checksum: u64,
-}
-
-/// The header of a sharded artifact: how many shards it was saved with and
-/// which files hold their models.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardManifest {
-    /// Shard count at save time (a load may pick a different count).
-    pub shards: usize,
-    /// The model file(s): exactly one in the current layout; one per shard
-    /// (identical bytes) in a v1 artifact.
-    pub files: Vec<ShardFileEntry>,
-}
-
-/// FNV-1a over `bytes` — enough to catch a swapped or damaged shard file;
+/// FNV-1a over `bytes` — enough to catch a damaged or spliced file;
 /// integrity against adversaries is out of scope for a local model store.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -291,186 +288,6 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// The conventional file name of shard `index` under manifest `path`
-/// (`<manifest-name>.shard<index>` in the same directory).
-pub fn shard_file_path(path: &Path, index: usize) -> std::path::PathBuf {
-    let name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "sharded-model".into());
-    path.with_file_name(format!("{name}.shard{index}"))
-}
-
-/// Whether `path` starts with the sharded-manifest magic (reads 8 bytes;
-/// a short or unreadable file is simply "not a manifest" unless the open
-/// itself fails).
-pub fn is_sharded_artifact(path: &Path) -> Result<bool, SplashError> {
-    let mut r = File::open(path)?;
-    let mut magic = [0u8; 8];
-    match r.read_exact(&mut magic) {
-        Ok(()) => Ok(&magic == SHARD_MAGIC),
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(false),
-        Err(e) => Err(SplashError::Io(e)),
-    }
-}
-
-/// Writes `model` as a sharded artifact at `path`: one [`save_model`] file
-/// (shards share weights, so the bytes are stored once) plus the manifest
-/// recording the shard count.
-///
-/// `model` is taken mutably only because parameter access goes through
-/// [`Parameterized::params_mut`]; values are not modified.
-#[allow(clippy::too_many_arguments)]
-pub fn save_sharded_model(
-    path: &Path,
-    model: &mut SlimModel,
-    cfg: &SplashConfig,
-    mode: InputFeatures,
-    feat_dim: usize,
-    edge_feat_dim: usize,
-    out_dim: usize,
-    shards: usize,
-) -> Result<(), SplashError> {
-    save_sharded_model_with_opt(
-        path, model, cfg, mode, feat_dim, edge_feat_dim, out_dim, shards, None,
-    )
-}
-
-/// [`save_sharded_model`] plus the optional `SAVEDOPT` optimizer trailer
-/// (see [`save_model_with_opt`]); the shared model file carries the
-/// section, so it restores the optimizer on its own.
-#[allow(clippy::too_many_arguments)]
-pub fn save_sharded_model_with_opt(
-    path: &Path,
-    model: &mut SlimModel,
-    cfg: &SplashConfig,
-    mode: InputFeatures,
-    feat_dim: usize,
-    edge_feat_dim: usize,
-    out_dim: usize,
-    shards: usize,
-    opt: Option<&AdamState>,
-) -> Result<(), SplashError> {
-    if shards == 0 {
-        return Err(SplashError::InvalidConfig {
-            what: "shard count must be positive".into(),
-        });
-    }
-    // Shards share weights, so serialize once and store the bytes once:
-    // the manifest carries the shard count, the model lives in one file.
-    let mut bytes = Vec::new();
-    write_model(&mut bytes, model, cfg, mode, feat_dim, edge_feat_dim, out_dim, opt)?;
-    let checksum = fnv1a(&bytes);
-    let shard_path = shard_file_path(path, 0);
-    std::fs::write(&shard_path, &bytes)?;
-    let entry = ShardFileEntry {
-        name: shard_path
-            .file_name()
-            .expect("shard_file_path always has a file name")
-            .to_string_lossy()
-            .into_owned(),
-        checksum,
-    };
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(SHARD_MAGIC)?;
-    put_u32(&mut w, SHARD_VERSION)?;
-    put_u64(&mut w, shards as u64)?;
-    put_u64(&mut w, entry.name.len() as u64)?;
-    w.write_all(entry.name.as_bytes())?;
-    put_u64(&mut w, entry.checksum)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Reads the manifest written by [`save_sharded_model`] (header only; no
-/// shard file is touched).
-///
-/// Typed failures mirror [`load_model`]: wrong magic, truncation, or an
-/// impossible shard count load as [`SplashError::CorruptModel`], a
-/// recognisable manifest from another revision as
-/// [`SplashError::PersistVersionMismatch`], filesystem trouble as
-/// [`SplashError::Io`].
-pub fn load_manifest(path: &Path) -> Result<ShardManifest, SplashError> {
-    let mut r = BufReader::new(File::open(path)?);
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic).map_err(corrupt_or_io)?;
-    if &magic != SHARD_MAGIC {
-        return Err(SplashError::CorruptModel {
-            what: "not a SPLASH shard manifest (bad magic)".into(),
-        });
-    }
-    let version = get_u32(&mut r).map_err(corrupt_or_io)?;
-    if version != SHARD_VERSION && version != SHARD_VERSION_DUPLICATED {
-        return Err(SplashError::PersistVersionMismatch {
-            found: version,
-            supported: SHARD_VERSION,
-        });
-    }
-    read_manifest_body(&mut r, version).map_err(corrupt_or_io)
-}
-
-/// Parses everything after the manifest magic + version header. A v2
-/// manifest lists exactly one model file; the legacy v1 layout listed one
-/// (identical) file per shard.
-fn read_manifest_body<R: Read>(r: &mut R, version: u32) -> io::Result<ShardManifest> {
-    let shards = get_u64(r)? as usize;
-    if shards == 0 || shards > 1 << 20 {
-        return Err(bad(format!("impossible shard count {shards}")));
-    }
-    let n_files = if version == SHARD_VERSION_DUPLICATED { shards } else { 1 };
-    let mut files = Vec::with_capacity(n_files);
-    for _ in 0..n_files {
-        let len = get_u64(r)? as usize;
-        if len == 0 || len > 4096 {
-            return Err(bad(format!("impossible shard file-name length {len}")));
-        }
-        let mut name = vec![0u8; len];
-        r.read_exact(&mut name)?;
-        let name = String::from_utf8(name)
-            .map_err(|_| bad("shard file name is not UTF-8".to_string()))?;
-        let checksum = get_u64(r)?;
-        files.push(ShardFileEntry { name, checksum });
-    }
-    Ok(ShardManifest { shards, files })
-}
-
-/// Loads a sharded artifact: reads the manifest, verifies every listed
-/// file's checksum, and restores the model from the first (a v2 manifest
-/// lists exactly one file; a legacy v1 manifest lists one identical copy
-/// per shard).
-///
-/// A missing or altered shard file reports [`SplashError::CorruptModel`]
-/// naming the file, so an operator knows *which* artifact to re-export.
-pub fn load_sharded_model(path: &Path) -> Result<(ShardManifest, SavedModel), SplashError> {
-    let manifest = load_manifest(path)?;
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    let mut first: Option<Vec<u8>> = None;
-    for entry in &manifest.files {
-        let shard_path = dir.join(&entry.name);
-        let bytes = std::fs::read(&shard_path).map_err(|e| {
-            if e.kind() == io::ErrorKind::NotFound {
-                SplashError::CorruptModel {
-                    what: format!("manifest names missing shard file {:?}", entry.name),
-                }
-            } else {
-                SplashError::Io(e)
-            }
-        })?;
-        if fnv1a(&bytes) != entry.checksum {
-            return Err(SplashError::CorruptModel {
-                what: format!("shard file {:?} does not match its manifest checksum", entry.name),
-            });
-        }
-        if first.is_none() {
-            first = Some(bytes);
-        }
-    }
-    // Parse shard 0 from the bytes just checksummed — no second read.
-    let bytes = first.expect("manifests always list at least one shard");
-    let saved = read_model(bytes.as_slice())?;
-    Ok((manifest, saved))
 }
 
 /// Classifies an error raised while parsing a file whose magic already
@@ -486,7 +303,8 @@ pub(crate) fn corrupt_or_io(e: io::Error) -> SplashError {
     }
 }
 
-/// Parses everything after the magic + version header.
+/// Parses the weights section and the optional `SAVEDOPT` section that
+/// follows it.
 ///
 /// The deserialized config is **validated before the architecture is
 /// instantiated**: `SplashConfig::validate` plus a sanity bound on every
@@ -494,7 +312,7 @@ pub(crate) fn corrupt_or_io(e: io::Error) -> SplashError {
 /// reach `SlimModel::new` unchecked, where an absurd `hidden` aborted the
 /// process on allocation; it now reports [`SplashError::CorruptModel`]
 /// (pinned by the crafted-artifact tests).
-fn read_body<R: Read>(mut r: &mut R) -> io::Result<SavedModel> {
+fn read_weights(mut r: &mut &[u8]) -> io::Result<SavedModel> {
     let cfg = read_config(&mut r)?;
     let mode = match get_u8(&mut r)? {
         0 => InputFeatures::Zero,
@@ -566,8 +384,13 @@ fn read_body<R: Read>(mut r: &mut R) -> io::Result<SavedModel> {
             *x = get_f32(&mut r)?;
         }
     }
-    let opt = read_opt_section(&mut r, &mut model)?;
-    Ok(SavedModel { cfg, mode, feat_dim, edge_feat_dim, out_dim, model, opt })
+    let opt = if r.starts_with(OPT_MAGIC) {
+        *r = &r[OPT_MAGIC.len()..];
+        Some(read_opt_section(r, &mut model)?)
+    } else {
+        None
+    };
+    Ok(SavedModel { cfg, mode, feat_dim, edge_feat_dim, out_dim, model, opt, state: None })
 }
 
 /// Bounds-checks one persisted structural dimension against [`MAX_DIM`].
@@ -578,25 +401,9 @@ pub(crate) fn sane_dim(name: &str, value: u64) -> io::Result<usize> {
     Ok(value as usize)
 }
 
-/// Parses the optional trailing `SAVEDOPT` section. Clean EOF right after
-/// the parameters means "no optimizer state" (`None`); anything else that
-/// is not a complete, architecture-matching section is corruption.
-fn read_opt_section<R: Read>(r: &mut R, model: &mut SlimModel) -> io::Result<Option<AdamState>> {
-    let mut magic = [0u8; 8];
-    let mut got = 0usize;
-    while got < magic.len() {
-        let n = r.read(&mut magic[got..])?;
-        if n == 0 {
-            break;
-        }
-        got += n;
-    }
-    if got == 0 {
-        return Ok(None);
-    }
-    if got < magic.len() || &magic != OPT_MAGIC {
-        return Err(bad("trailing bytes are not a SAVEDOPT section".to_string()));
-    }
+/// Parses a `SAVEDOPT` section after its tag; anything that is not a
+/// complete, architecture-matching section is corruption.
+fn read_opt_section<R: Read>(r: &mut R, model: &mut SlimModel) -> io::Result<AdamState> {
     let version = get_u32(r)?;
     if version != OPT_VERSION {
         return Err(bad(format!(
@@ -625,7 +432,7 @@ fn read_opt_section<R: Read>(r: &mut R, model: &mut SlimModel) -> io::Result<Opt
         }
         moments.push((m, v));
     }
-    Ok(Some(AdamState { steps, moments }))
+    Ok(AdamState { steps, moments })
 }
 
 fn write_config<W: Write>(w: &mut W, cfg: &SplashConfig) -> io::Result<()> {
@@ -728,6 +535,290 @@ fn read_config<R: Read>(r: &mut R) -> io::Result<SplashConfig> {
     })
 }
 
+// ---------------------------------------------------------------------------
+// Streaming-state sections: the witness and the rings. A durable
+// checkpoint writes them as its `witness.<e>.bin` and per-shard ring
+// files; an artifact carries them after its weights.
+
+pub(crate) fn put_f64<W: Write>(w: &mut W, v: f64) -> io::Result<()> {
+    w.write_all(&v.to_bits().to_le_bytes())
+}
+
+pub(crate) fn get_f64<R: Read>(r: &mut R) -> io::Result<f64> {
+    let mut b = [0u8; 8];
+    r.read_exact(&mut b)?;
+    Ok(f64::from_bits(u64::from_le_bytes(b)))
+}
+
+fn write_matrix<W: Write>(w: &mut W, m: &Matrix) -> io::Result<()> {
+    put_u64(w, m.rows() as u64)?;
+    put_u64(w, m.cols() as u64)?;
+    for &x in m.data() {
+        put_f32(w, x)?;
+    }
+    Ok(())
+}
+
+fn read_matrix<R: Read>(r: &mut R, what: &str) -> io::Result<Matrix> {
+    let rows = get_u64(r)?;
+    let cols = get_u64(r)?;
+    if rows > MAX_NODES || cols > MAX_DIM || rows.saturating_mul(cols) > MAX_STATE_ELEMS
+    {
+        return Err(bad(format!("impossible {what} shape {rows}x{cols}")));
+    }
+    let mut m = Matrix::zeros(rows as usize, cols as usize);
+    for x in m.data_mut() {
+        *x = get_f32(r)?;
+    }
+    Ok(m)
+}
+
+fn write_prop<W: Write>(w: &mut W, prop: &[Option<Vec<f32>>]) -> io::Result<()> {
+    put_u64(w, prop.len() as u64)?;
+    for slot in prop {
+        match slot {
+            None => put_u8(w, 0)?,
+            Some(f) => {
+                put_u8(w, 1)?;
+                put_u64(w, f.len() as u64)?;
+                for &x in f {
+                    put_f32(w, x)?;
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+fn read_prop<R: Read>(r: &mut R, dv: usize, what: &str) -> io::Result<Vec<Option<Vec<f32>>>> {
+    let len = get_u64(r)?;
+    if len > MAX_NODES {
+        return Err(bad(format!("impossible {what} length {len}")));
+    }
+    let mut out = Vec::with_capacity(len.min(1 << 20) as usize);
+    for _ in 0..len {
+        match get_u8(r)? {
+            0 => out.push(None),
+            1 => {
+                let n = get_u64(r)? as usize;
+                if n != dv {
+                    return Err(bad(format!(
+                        "{what} entry has {n} elements, feature dim is {dv}"
+                    )));
+                }
+                let mut f = vec![0.0f32; n];
+                for x in &mut f {
+                    *x = get_f32(r)?;
+                }
+                out.push(Some(f));
+            }
+            t => return Err(bad(format!("unknown {what} slot tag {t}"))),
+        }
+    }
+    Ok(out)
+}
+
+pub(crate) fn write_neighbor<W: Write>(w: &mut W, e: &CapturedNeighbor) -> io::Result<()> {
+    put_u32(w, e.other)?;
+    put_f64(w, e.time)?;
+    put_f32(w, e.weight)?;
+    put_u64(w, e.feat.len() as u64)?;
+    for &x in &e.feat {
+        put_f32(w, x)?;
+    }
+    put_u64(w, e.edge_feat.len() as u64)?;
+    for &x in &e.edge_feat {
+        put_f32(w, x)?;
+    }
+    Ok(())
+}
+
+pub(crate) fn read_neighbor<R: Read>(r: &mut R) -> io::Result<CapturedNeighbor> {
+    let other = get_u32(r)?;
+    let time = get_f64(r)?;
+    let weight = get_f32(r)?;
+    let feat_len = sane_dim("ring-entry feature width", get_u64(r)?)?;
+    let mut feat = vec![0.0f32; feat_len];
+    for x in &mut feat {
+        *x = get_f32(r)?;
+    }
+    let edge_len = sane_dim("ring-entry edge-feature width", get_u64(r)?)?;
+    let mut edge_feat = vec![0.0f32; edge_len];
+    for x in &mut edge_feat {
+        *x = get_f32(r)?;
+    }
+    Ok(CapturedNeighbor { other, feat, edge_feat, time, weight })
+}
+
+/// Writes a witness section: stream clock, ring capacity, and the full
+/// augmenter/tracker state — everything that is a global function of the
+/// edge stream, written once per engine regardless of the shard count.
+pub(crate) fn write_witness<W: Write>(w: &mut W, witness: &WitnessSnapshot) -> io::Result<()> {
+    w.write_all(WITNESS_MAGIC)?;
+    put_u32(w, WITNESS_VERSION)?;
+    put_f64(w, witness.last_time)?;
+    put_u64(w, witness.k as u64)?;
+
+    let a = &witness.augmenter;
+    put_u64(w, a.dv as u64)?;
+    put_u64(w, a.seen.len() as u64)?;
+    for &b in &a.seen {
+        put_u8(w, b as u8)?;
+    }
+    write_matrix(w, &a.random_seen)?;
+    write_matrix(w, &a.positional_seen)?;
+    write_prop(w, &a.random_prop)?;
+    write_prop(w, &a.positional_prop)?;
+    put_u64(w, a.degrees.len() as u64)?;
+    for &d in &a.degrees {
+        put_u64(w, d)?;
+    }
+    put_u64(w, a.degrees_total)
+}
+
+/// Parses a witness section from the front of `r`, advancing it.
+pub(crate) fn read_witness(r: &mut &[u8]) -> Result<WitnessSnapshot, SplashError> {
+    let mut magic = [0u8; 8];
+    r.read_exact(&mut magic).map_err(corrupt_or_io)?;
+    if &magic != WITNESS_MAGIC {
+        return Err(SplashError::CorruptModel {
+            what: "not a SPLASH witness snapshot (bad magic)".into(),
+        });
+    }
+    let version = get_u32(r).map_err(corrupt_or_io)?;
+    if version != WITNESS_VERSION {
+        return Err(SplashError::PersistVersionMismatch {
+            found: version,
+            supported: WITNESS_VERSION,
+        });
+    }
+    read_witness_body(r).map_err(corrupt_or_io)
+}
+
+fn read_witness_body<R: Read>(r: &mut R) -> io::Result<WitnessSnapshot> {
+    let last_time = get_f64(r)?;
+    let k = sane_dim("ring capacity", get_u64(r)?)?;
+
+    let dv = sane_dim("feature dim", get_u64(r)?)?;
+    let seen_len = get_u64(r)?;
+    if seen_len > MAX_NODES {
+        return Err(bad(format!("impossible seen-table length {seen_len}")));
+    }
+    let mut seen = Vec::with_capacity(seen_len.min(1 << 20) as usize);
+    for _ in 0..seen_len {
+        seen.push(match get_u8(r)? {
+            0 => false,
+            1 => true,
+            t => return Err(bad(format!("seen flag is {t}, not 0/1"))),
+        });
+    }
+    let random_seen = read_matrix(r, "random-feature table")?;
+    let positional_seen = read_matrix(r, "positional-feature table")?;
+    if random_seen.cols() != dv || positional_seen.cols() != dv {
+        return Err(bad("feature tables disagree with the feature dim".to_string()));
+    }
+    let random_prop = read_prop(r, dv, "propagated random features")?;
+    let positional_prop = read_prop(r, dv, "propagated positional features")?;
+    let deg_len = get_u64(r)?;
+    if deg_len > MAX_NODES {
+        return Err(bad(format!("impossible degree-table length {deg_len}")));
+    }
+    let mut degrees = Vec::with_capacity(deg_len.min(1 << 20) as usize);
+    for _ in 0..deg_len {
+        degrees.push(get_u64(r)?);
+    }
+    let degrees_total = get_u64(r)?;
+
+    Ok(WitnessSnapshot {
+        augmenter: AugmenterState {
+            dv,
+            seen,
+            random_seen,
+            positional_seen,
+            random_prop,
+            positional_prop,
+            degrees,
+            degrees_total,
+        },
+        k,
+        last_time,
+    })
+}
+
+/// Writes a ring section: `rings` (non-empty rings, storage order with
+/// cursors) as partition `shard` of `shards`. An artifact writes every
+/// ring as partition 0 of 1.
+pub(crate) fn write_rings<W: Write>(
+    w: &mut W,
+    rings: &[RingState],
+    shard: usize,
+    shards: usize,
+) -> io::Result<()> {
+    w.write_all(RINGS_MAGIC)?;
+    put_u32(w, RINGS_VERSION)?;
+    put_u64(w, shard as u64)?;
+    put_u64(w, shards as u64)?;
+    put_u64(w, rings.len() as u64)?;
+    for ring in rings {
+        put_u32(w, ring.node)?;
+        put_u64(w, ring.head as u64)?;
+        put_u64(w, ring.entries.len() as u64)?;
+        for e in &ring.entries {
+            write_neighbor(w, e)?;
+        }
+    }
+    Ok(())
+}
+
+/// Parses a ring section from the front of `r`, advancing it. `k` is the
+/// witness's ring capacity, bounding every ring's entry count.
+pub(crate) fn read_rings(r: &mut &[u8], k: usize) -> Result<Vec<RingState>, SplashError> {
+    let mut magic = [0u8; 8];
+    r.read_exact(&mut magic).map_err(corrupt_or_io)?;
+    if &magic != RINGS_MAGIC {
+        return Err(SplashError::CorruptModel {
+            what: "not a SPLASH ring section (bad magic)".into(),
+        });
+    }
+    let version = get_u32(r).map_err(corrupt_or_io)?;
+    if version != RINGS_VERSION {
+        return Err(SplashError::PersistVersionMismatch {
+            found: version,
+            supported: RINGS_VERSION,
+        });
+    }
+    read_rings_body(r, k).map_err(corrupt_or_io)
+}
+
+fn read_rings_body<R: Read>(r: &mut R, k: usize) -> io::Result<Vec<RingState>> {
+    let _shard = get_u64(r)?;
+    let shards = get_u64(r)?;
+    if shards == 0 || shards > 1 << 20 {
+        return Err(bad(format!("impossible shard count {shards}")));
+    }
+    let ring_count = get_u64(r)?;
+    if ring_count > MAX_NODES {
+        return Err(bad(format!("impossible ring count {ring_count}")));
+    }
+    let mut rings = Vec::with_capacity(ring_count.min(1 << 20) as usize);
+    for _ in 0..ring_count {
+        let node = get_u32(r)?;
+        let head = get_u64(r)? as usize;
+        let entries_len = get_u64(r)? as usize;
+        if entries_len > k || head >= entries_len.max(1) {
+            return Err(bad(format!(
+                "ring for node {node} is inconsistent ({entries_len} entries, head {head}, k={k})"
+            )));
+        }
+        let mut entries = Vec::with_capacity(entries_len);
+        for _ in 0..entries_len {
+            entries.push(read_neighbor(r)?);
+        }
+        rings.push(RingState { node, head, entries });
+    }
+    Ok(rings)
+}
+
 pub(crate) fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
@@ -778,10 +869,19 @@ mod tests {
     use crate::capture::{capture, InputFeatures};
     use crate::pipeline::{predict_slim, split_bounds, train_slim, SEEN_FRAC};
     use crate::select::truncate_to_available;
+    use crate::stream::StreamingPredictor;
     use datasets::synthetic_shift;
 
     fn tmp(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("splash-persist-{tag}-{}.bin", std::process::id()))
+    }
+
+    /// Rewrites the trailing checksum of a patched artifact, so a test
+    /// reaches the parser behind it.
+    fn reseal(bytes: &mut [u8]) {
+        let end = bytes.len() - 8;
+        let sum = fnv1a(&bytes[..end]);
+        bytes[end..].copy_from_slice(&sum.to_le_bytes());
     }
 
     #[test]
@@ -978,6 +1078,7 @@ mod tests {
         let (path, bytes) = saved_bytes("dim-bomb");
         let mut patched = bytes.clone();
         patched[OFF_HIDDEN..OFF_HIDDEN + 8].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        reseal(&mut patched);
         std::fs::write(&path, &patched).unwrap();
         let err = load_model(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
@@ -996,6 +1097,7 @@ mod tests {
         // MLP's input weight alone would be ≥ 2^40 elements (~4 TiB).
         patched[OFF_HIDDEN..OFF_HIDDEN + 8].copy_from_slice(&(1u64 << 20).to_le_bytes());
         patched[OFF_TIME_DIM..OFF_TIME_DIM + 8].copy_from_slice(&(1u64 << 20).to_le_bytes());
+        reseal(&mut patched);
         std::fs::write(&path, &patched).unwrap();
         let err = load_model(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
@@ -1012,6 +1114,7 @@ mod tests {
         // Zero `k`: fails validation.
         let mut patched = bytes.clone();
         patched[OFF_K..OFF_K + 8].copy_from_slice(&0u64.to_le_bytes());
+        reseal(&mut patched);
         std::fs::write(&path, &patched).unwrap();
         let err = load_model(&path).unwrap_err();
         assert!(matches!(err, SplashError::CorruptModel { .. }), "{err:?}");
@@ -1019,6 +1122,7 @@ mod tests {
         // NaN learning rate: fails validation too.
         let mut patched = bytes.clone();
         patched[OFF_LR..OFF_LR + 4].copy_from_slice(&f32::NAN.to_le_bytes());
+        reseal(&mut patched);
         std::fs::write(&path, &patched).unwrap();
         let err = load_model(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
@@ -1027,21 +1131,27 @@ mod tests {
     }
 
     /// Trailing bytes that are not a complete `SAVEDOPT` section are
-    /// corruption, never a silent partial read.
+    /// corruption, never a silent partial read — even behind a valid
+    /// checksum.
     #[test]
     fn damaged_opt_trailer_is_corrupt() {
         let (path, bytes) = saved_bytes("opt-trailer");
+        let body = &bytes[..bytes.len() - 8];
         // Garbage appended after the parameters.
-        let mut patched = bytes.clone();
+        let mut patched = body.to_vec();
         patched.extend_from_slice(b"JUNKJUNKJUNK");
+        patched.extend_from_slice(&[0; 8]);
+        reseal(&mut patched);
         std::fs::write(&path, &patched).unwrap();
         let err = load_model(&path).unwrap_err();
         assert!(matches!(err, SplashError::CorruptModel { .. }), "{err:?}");
         assert!(err.to_string().contains("SAVEDOPT"), "{err}");
         // A truncated (but correctly tagged) section is corruption too.
-        let mut patched = bytes.clone();
+        let mut patched = body.to_vec();
         patched.extend_from_slice(OPT_MAGIC);
         patched.extend_from_slice(&OPT_VERSION.to_le_bytes());
+        patched.extend_from_slice(&[0; 8]);
+        reseal(&mut patched);
         std::fs::write(&path, &patched).unwrap();
         let err = load_model(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
@@ -1060,8 +1170,7 @@ mod tests {
         let (mut model, _) = train_slim(&cap, &dataset, &cap.queries[..train_end], &cfg);
         let state = model.extract_adam_state(17);
         let path = tmp("opt-roundtrip");
-        save_model_with_opt(
-            &path,
+        let bytes = artifact_bytes(
             &mut model,
             &cfg,
             InputFeatures::RawRandom,
@@ -1069,8 +1178,10 @@ mod tests {
             cap.edge_feat_dim,
             dataset.num_classes,
             Some(&state),
+            None,
         )
         .unwrap();
+        std::fs::write(&path, bytes).unwrap();
         let restored = load_model(&path).unwrap();
         std::fs::remove_file(&path).ok();
         let back = restored.opt.expect("SAVEDOPT section restores");
@@ -1115,5 +1226,204 @@ mod tests {
             }
             other => panic!("expected PersistVersionMismatch, got {other:?}"),
         }
+    }
+
+    /// A trained streaming engine (process `R`) fed part of its live tail,
+    /// so its rings and witness differ from the training-prefix state.
+    fn live_engine() -> StreamingPredictor {
+        let dataset = truncate_to_available(&synthetic_shift(50, 13), 0.3);
+        let mut cfg = SplashConfig::tiny();
+        cfg.epochs = 1;
+        let mut engine =
+            StreamingPredictor::train_with_process(&dataset, &cfg, FeatureProcess::Random);
+        let t_seen = crate::capture::seen_end_time(&dataset, SEEN_FRAC);
+        let prefix = dataset.stream.prefix_len_at(t_seen);
+        let tail = &dataset.stream.edges()[prefix..];
+        engine.try_push_edges(&tail[..tail.len() / 2]).unwrap();
+        engine
+    }
+
+    /// A streaming artifact with every section (weights, `SAVEDOPT`,
+    /// witness, rings, checksum), plus the byte offset where each section
+    /// ends.
+    fn sectioned_artifact() -> (Vec<u8>, [(&'static str, usize); 5]) {
+        let mut engine = live_engine();
+        let opt = engine.model().clone().extract_adam_state(3);
+        let witness = engine.durable_witness();
+        let rings = engine.durable_rings();
+        let weights = engine.artifact_bytes(None, None).unwrap().len() - 8;
+        let with_opt = engine.artifact_bytes(Some(&opt), None).unwrap().len() - 8;
+        let mut w = Vec::new();
+        write_witness(&mut w, &witness).unwrap();
+        let witness_end = with_opt + w.len();
+        let bytes = engine.artifact_bytes(Some(&opt), Some((&witness, &rings))).unwrap();
+        let rings_end = bytes.len() - 8;
+        let ends = [
+            ("weights", weights),
+            ("SAVEDOPT", with_opt),
+            ("witness", witness_end),
+            ("rings", rings_end),
+            ("checksum", bytes.len()),
+        ];
+        (bytes, ends)
+    }
+
+    /// A streaming artifact restores the saving engine's state: its
+    /// predictions, and the bytes it saves again.
+    #[test]
+    fn streaming_artifact_restores_the_saved_state() {
+        let mut engine = live_engine();
+        let path = tmp("stream-roundtrip");
+        engine.save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let saved = load_model(&path).unwrap();
+        assert!(saved.state.is_some());
+        let dataset = truncate_to_available(&synthetic_shift(50, 13), 0.3);
+        let mut restored = StreamingPredictor::try_from_saved(saved, &dataset).unwrap();
+        assert_eq!(restored.last_time(), engine.last_time());
+        let t = engine.last_time() + 1.0;
+        let nodes: Vec<u32> = (0..60).collect();
+        assert_eq!(
+            restored.try_predict_many(&nodes, t).unwrap().data(),
+            engine.try_predict_many(&nodes, t).unwrap().data()
+        );
+        restored.save(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "re-saved artifact differs");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A file cut short inside any section is `CorruptModel` — both as
+    /// written (the checksum no longer matches) and resealed, so the
+    /// section parser itself meets the end of the file.
+    #[test]
+    fn artifact_cut_short_in_any_section_is_corrupt() {
+        let (bytes, ends) = sectioned_artifact();
+        let path = tmp("cut");
+        let mut start = 12;
+        for (section, end) in ends {
+            assert!(end > start, "{section} section is empty");
+            let cut = start + (end - start) / 2;
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            let err = load_model(&path).unwrap_err();
+            assert!(
+                matches!(err, SplashError::CorruptModel { .. }),
+                "cut inside {section} at {cut}: {err:?}"
+            );
+            if section != "checksum" {
+                let mut resealed = bytes[..cut].to_vec();
+                resealed.extend_from_slice(&[0; 8]);
+                reseal(&mut resealed);
+                std::fs::write(&path, &resealed).unwrap();
+                let err = load_model(&path).unwrap_err();
+                assert!(
+                    matches!(err, SplashError::CorruptModel { .. }),
+                    "resealed cut inside {section} at {cut}: {err:?}"
+                );
+            }
+            start = end;
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// One flipped byte anywhere after the header — in every section,
+    /// the checksum included — is a `CorruptModel` naming the checksum.
+    #[test]
+    fn flipped_byte_names_the_checksum() {
+        let (bytes, ends) = sectioned_artifact();
+        let path = tmp("flip");
+        let mut offsets: Vec<usize> = (12..bytes.len()).step_by(997).collect();
+        let mut start = 12;
+        for (_, end) in ends {
+            offsets.extend([start, (start + end) / 2, end - 1]);
+            start = end;
+        }
+        for at in offsets {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0x10;
+            std::fs::write(&path, &flipped).unwrap();
+            match load_model(&path).unwrap_err() {
+                SplashError::CorruptModel { what } => {
+                    assert!(what.contains("checksum"), "byte {at}: {what}")
+                }
+                other => panic!("byte {at}: expected CorruptModel, got {other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Files from before the self-contained format load as typed version
+    /// mismatches: a `SPLASHM` v1 model file and both revisions of the
+    /// retired `SPLASHS` shard manifest.
+    #[test]
+    fn legacy_files_are_version_mismatches() {
+        let (path, bytes) = saved_bytes("legacy");
+        // A v1 model file: same header magic, version 1, no checksum.
+        let mut v1 = bytes[..bytes.len() - 8].to_vec();
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let name = b"model.bin.shard0";
+        let manifest = |version: u32| {
+            let mut m = b"SPLASHS\x01".to_vec();
+            m.extend_from_slice(&version.to_le_bytes());
+            m.extend_from_slice(&2u64.to_le_bytes());
+            m.extend_from_slice(&(name.len() as u64).to_le_bytes());
+            m.extend_from_slice(name);
+            m.extend_from_slice(&0u64.to_le_bytes());
+            m
+        };
+        for (file, found) in [(v1, 1), (manifest(1), 1), (manifest(2), 2)] {
+            std::fs::write(&path, &file).unwrap();
+            match load_model(&path).unwrap_err() {
+                SplashError::PersistVersionMismatch { found: f, supported } => {
+                    assert_eq!((f, supported), (found, VERSION));
+                }
+                other => panic!("expected PersistVersionMismatch, got {other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A ring entry wider than the model's input (behind a valid
+    /// checksum) is refused before any engine is built.
+    #[test]
+    fn wide_ring_entry_is_corrupt_before_any_engine() {
+        let mut engine = live_engine();
+        let witness = engine.durable_witness();
+        for edge_side in [false, true] {
+            let mut rings = engine.durable_rings();
+            let entry = &mut rings[0].entries[0];
+            if edge_side {
+                entry.edge_feat.push(0.0);
+            } else {
+                entry.feat.push(0.0);
+            }
+            let bytes = engine.artifact_bytes(None, Some((&witness, &rings))).unwrap();
+            let path = tmp("wide-ring");
+            std::fs::write(&path, bytes).unwrap();
+            let saved = load_model(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            let dataset = truncate_to_available(&synthetic_shift(50, 13), 0.3);
+            match StreamingPredictor::try_from_saved(saved, &dataset).unwrap_err() {
+                SplashError::CorruptModel { what } => assert!(what.contains("wide"), "{what}"),
+                other => panic!("expected CorruptModel, got {other:?}"),
+            }
+        }
+    }
+
+    /// A weights-only file cannot back a streaming engine: the rebuild
+    /// from the training stream is gone, so it is a typed error.
+    #[test]
+    fn weights_only_file_is_not_a_streaming_engine() {
+        let mut engine = live_engine();
+        let path = tmp("weights-only");
+        std::fs::write(&path, engine.artifact_bytes(None, None).unwrap()).unwrap();
+        let saved = load_model(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(saved.state.is_none());
+        let dataset = truncate_to_available(&synthetic_shift(50, 13), 0.3);
+        let err = StreamingPredictor::try_from_saved(saved, &dataset).unwrap_err();
+        assert!(
+            matches!(&err, SplashError::CorruptModel { what } if what.contains("weights only")),
+            "{err:?}"
+        );
     }
 }

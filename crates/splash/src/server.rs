@@ -826,9 +826,10 @@ fn execute(service: &mut SplashService, route: &Route, body: &[u8]) -> Response 
     }
 }
 
-/// Loads the dataset a hot-swapped artifact rebuilds its streaming state
-/// from (the artifact's own `out_dim` caps the label universe when the
-/// request does not name `classes` explicitly).
+/// Loads the dataset a `/load` request names (the artifact's own
+/// `out_dim` caps the label universe when the request does not name
+/// `classes` explicitly). The artifact carries its own streaming state;
+/// the service reads only the dataset's task.
 fn load_dataset_for(
     model: &str,
     edges: &str,

@@ -597,12 +597,12 @@ impl Engine {
         }
     }
 
-    /// The model-artifact bytes of the served weights (persist format,
-    /// optional `SAVEDOPT` trailer) for a durable checkpoint.
+    /// The served weights as a weights-only artifact (persist format,
+    /// optional `SAVEDOPT` section) for a durable checkpoint.
     fn model_bytes(&mut self, opt: Option<&AdamState>) -> Result<Vec<u8>, SplashError> {
         match self {
-            Engine::Single(p) => p.model_artifact_bytes(opt),
-            Engine::Sharded(s) => s.model_artifact_bytes(opt),
+            Engine::Single(p) => p.artifact_bytes(opt, None),
+            Engine::Sharded(s) => s.weights_bytes(opt),
             Engine::External(e) => Err(SplashError::InvalidConfig {
                 what: format!(
                     "external engine {:?} cannot be checkpointed (serving-only slot)",
@@ -846,16 +846,17 @@ impl SplashService {
         Ok(())
     }
 
-    /// Loads a persisted model from `path`, rebuilds its streaming state
-    /// from `dataset`'s training prefix, and installs it under `name`
+    /// Loads an artifact from `path` and installs it under `name`
     /// (hot-swapping any model already there — in-flight state of the
     /// replaced model is discarded).
     ///
-    /// Both artifact kinds load interchangeably: a single-model file
-    /// ([`SplashService::save_model`] at 1 shard) or a sharded manifest
-    /// (more shards). Either way the model is served with the *service's*
-    /// configured shard count — resharding-on-load, since streaming state
-    /// is rebuilt and ownership recomputed here anyway.
+    /// The artifact is self-contained: its streaming state (witness and
+    /// rings) is decoded, not rebuilt, so the installed engine is exactly
+    /// the one that was saved — a checkpoint without a WAL. It is served
+    /// with the *service's* configured shard count whatever count saved
+    /// it (resharding-on-load: the rings are stored merged and ownership
+    /// is recomputed here). `dataset` is not replayed; the service reads
+    /// only its `task`, for the online trainer's loss.
     ///
     /// The saved file's own config is validated and used; the service's
     /// config only governs models trained in-service.
@@ -870,11 +871,7 @@ impl SplashService {
         path: &Path,
         dataset: &Dataset,
     ) -> Result<(), SplashError> {
-        let mut saved = if crate::persist::is_sharded_artifact(path)? {
-            crate::persist::load_sharded_model(path)?.1
-        } else {
-            crate::persist::load_model(path)?
-        };
+        let mut saved = crate::persist::load_model(path)?;
         saved.cfg.validate()?;
         let opt = saved.opt.take();
         let predictor = StreamingPredictor::try_from_saved(saved, dataset)?;
@@ -885,10 +882,11 @@ impl SplashService {
         Ok(())
     }
 
-    /// Persists the named model to `path`: a single-engine model writes
-    /// one model file, a sharded model writes a manifest plus per-shard
-    /// files. Either artifact restores through
-    /// [`SplashService::load_model`] at any shard count.
+    /// Persists the named model to `path` as one self-contained artifact
+    /// at any shard count: weights, the engine's witness and every ring
+    /// (merged across shards). It restores through
+    /// [`SplashService::load_model`] at any shard count, as the engine is
+    /// now.
     ///
     /// A model with an online trainer also writes the trainer's optimizer
     /// checkpoint (`SAVEDOPT` section), making the artifact a true

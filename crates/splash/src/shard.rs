@@ -45,11 +45,13 @@
 //! Threaded ring writes are safe because shards touch disjoint rings and
 //! the snapshot batch is read-only during the scatter.
 //!
-//! Persistence stores the model bytes once: [`ShardedPredictor::save`]
-//! writes a manifest plus a single shard file ([`crate::persist`]), and
-//! [`ShardedPredictor::try_load`] reshards on load — an artifact saved at
-//! `N` shards serves identically at any `M`. Durable checkpoints mirror
-//! the split: one witness file plus `N` ring-partition files.
+//! Persistence writes one self-contained artifact at any shard count
+//! ([`crate::persist`]): the shared weights once, the engine's single
+//! witness, and the rings of every shard merged into one section.
+//! [`ShardedPredictor::try_load`] reshards on load — ownership is
+//! recomputed from the merged rings, so an artifact saved at `N` shards
+//! serves identically at any `M`. Durable checkpoints split the state
+//! instead: one witness file plus `N` ring-partition files.
 
 use std::cell::RefCell;
 use std::path::Path;
@@ -70,8 +72,9 @@ use crate::telemetry::{escape_label_value, Counter, Registry};
 /// A splitmix64-style finalizer avalanches the (dense) node ids so
 /// consecutive ids spread across shards instead of striping; the function
 /// is pure and version-independent *within a process*, and nothing
-/// persisted depends on it — ownership is recomputed from scratch when an
-/// artifact loads, which is what makes resharding-on-load free.
+/// persisted depends on it — rings are stored merged and ownership is
+/// recomputed when an artifact loads, which is what makes
+/// resharding-on-load free.
 pub fn shard_of(node: NodeId, shards: usize) -> usize {
     debug_assert!(shards > 0, "shard count must be positive");
     let mut x = (node as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -234,9 +237,10 @@ impl ShardedPredictor {
         )
     }
 
-    /// Rebuilds a sharded predictor from a restored model; the streaming
-    /// state is reconstructed from `dataset`'s training prefix exactly as
-    /// in [`StreamingPredictor::try_from_saved`], then partitioned.
+    /// Rebuilds a sharded predictor from a restored artifact: its
+    /// streaming state is decoded exactly as in
+    /// [`StreamingPredictor::try_from_saved`], then partitioned `shards`
+    /// ways. `dataset` is not read (see there).
     pub fn try_from_saved(
         saved: SavedModel,
         dataset: &Dataset,
@@ -266,8 +270,8 @@ impl ShardedPredictor {
     /// Rebuilds a sharded predictor from a restored model plus an
     /// assembled [`crate::stream::StreamState`] (one recovered witness +
     /// the ring union). The rings are repartitioned for `shards` engines,
-    /// so a checkpoint taken at any shard count restores at any other
-    /// (resharding-on-restore, mirroring [`ShardedPredictor::try_load`]).
+    /// so a checkpoint or artifact saved at any shard count restores at
+    /// any other (resharding-on-restore).
     pub(crate) fn try_from_saved_state(
         saved: SavedModel,
         state: crate::stream::StreamState,
@@ -277,50 +281,50 @@ impl ShardedPredictor {
         Self::from_predictor(predictor, shards)
     }
 
-    /// The model-artifact bytes of this engine's weights (every shard
-    /// shares them), with an optional `SAVEDOPT` optimizer trailer.
-    pub(crate) fn model_artifact_bytes(
+    /// The weights-only artifact bytes of this engine (every shard shares
+    /// the weights), with an optional `SAVEDOPT` optimizer section — what
+    /// a durable checkpoint stores as its model file.
+    pub(crate) fn weights_bytes(
         &mut self,
         opt: Option<&crate::slim::AdamState>,
     ) -> Result<Vec<u8>, SplashError> {
-        self.shards[0].model_artifact_bytes(opt)
+        self.shards[0].artifact_bytes(opt, None)
     }
 
-    /// Loads a sharded artifact (manifest + model file, written by
-    /// [`ShardedPredictor::save`]) and serves it with `shards` engines —
-    /// `None` keeps the artifact's saved count. This is resharding-on-load:
-    /// ownership is recomputed, state is rebuilt from the training stream,
-    /// so any saved count loads at any serving count with identical output.
-    pub fn try_load(
-        path: &Path,
-        dataset: &Dataset,
-        shards: Option<usize>,
-    ) -> Result<Self, SplashError> {
-        let (manifest, saved) = crate::persist::load_sharded_model(path)?;
+    /// Loads an artifact (written by any save, at any shard count) and
+    /// serves it with `shards` engines. This is resharding-on-load: the
+    /// artifact's rings are stored merged and ownership is recomputed, so
+    /// any saved count loads at any serving count with identical output.
+    pub fn try_load(path: &Path, dataset: &Dataset, shards: usize) -> Result<Self, SplashError> {
+        let saved = crate::persist::load_model(path)?;
         saved.cfg.validate()?;
-        Self::try_from_saved(saved, dataset, shards.unwrap_or(manifest.shards))
+        Self::try_from_saved(saved, dataset, shards)
     }
 
-    /// Persists this predictor as a sharded artifact at `path`: the
-    /// manifest (which records the shard count) plus one model file
-    /// (`<path>.shard0`) — shards share weights, so the bytes are stored
-    /// once. Restores through [`ShardedPredictor::try_load`] at any shard
-    /// count, or the model file alone through
-    /// [`crate::persist::load_model`].
+    /// Persists this predictor to `path` as one self-contained artifact:
+    /// the shared weights, the engine's witness, and every shard's rings
+    /// merged in node order — the same bytes an unsharded engine in the
+    /// same state writes. Restores through [`ShardedPredictor::try_load`]
+    /// at any shard count, or through
+    /// [`StreamingPredictor::try_from_saved`].
     pub fn save(&mut self, path: &Path) -> Result<(), SplashError> {
         self.save_with_opt(path, None)
     }
 
     /// [`ShardedPredictor::save`] plus an optional checkpoint of the
-    /// online-fine-tuning optimizer; the model file carries the `SAVEDOPT`
-    /// section (shards share weights *and* their optimizer).
+    /// online-fine-tuning optimizer (the artifact's `SAVEDOPT` section;
+    /// shards share weights *and* their optimizer).
     pub fn save_with_opt(
         &mut self,
         path: &Path,
         opt: Option<&crate::slim::AdamState>,
     ) -> Result<(), SplashError> {
-        let shards = self.shards.len();
-        self.shards[0].save_sharded(path, shards, opt)
+        let witness = self.durable_witness();
+        let mut rings: Vec<_> = self.durable_ring_shards().into_iter().flatten().collect();
+        rings.sort_unstable_by_key(|r| r.node);
+        let bytes = self.shards[0].artifact_bytes(opt, Some((&witness, &rings)))?;
+        std::fs::write(path, bytes)?;
+        Ok(())
     }
 
     /// Atomically publishes `src`'s weights into **every** shard engine

@@ -62,11 +62,11 @@ pub(crate) struct RingState {
     pub entries: Vec<CapturedNeighbor>,
 }
 
-/// Everything a [`StreamingPredictor`] holds that `persist::SavedModel`
-/// does not: augmenter/tracker state, the non-empty per-node rings, and the
-/// stream clock. Assembled by `assemble_stream_state` from a recovered
-/// witness + ring partitions and consumed by
-/// [`StreamingPredictor::try_from_saved_state`].
+/// Everything a [`StreamingPredictor`] holds beyond its weights:
+/// augmenter/tracker state, the non-empty per-node rings, and the stream
+/// clock. Assembled by `assemble_stream_state` from a decoded witness +
+/// ring partitions (an artifact's sections or a durable checkpoint's
+/// files) and consumed by [`StreamingPredictor::try_from_saved_state`].
 #[derive(Debug, Clone)]
 pub(crate) struct StreamState {
     /// Feature-augmentation state (seen tables, propagated features, degrees).
@@ -112,6 +112,56 @@ pub(crate) fn assemble_stream_state(
         k: witness.k,
         last_time: witness.last_time,
     })
+}
+
+/// Checks a decoded [`StreamState`] against the model that is to serve
+/// it, before any engine is built: the feature dimension and ring
+/// capacity must be the model's, every ring's cursor must be consistent,
+/// and every ring entry must be exactly as wide as the model's node- and
+/// edge-feature inputs (a wider entry would overrun the input row).
+/// Mismatches report [`SplashError::CorruptModel`].
+pub(crate) fn check_stream_state(
+    state: &StreamState,
+    cfg: &SplashConfig,
+    feat_dim: usize,
+    edge_feat_dim: usize,
+) -> Result<(), SplashError> {
+    let corrupt = |what: String| Err(SplashError::CorruptModel { what });
+    if state.augmenter.dv != cfg.feat_dim {
+        return corrupt(format!(
+            "state feature dim {} does not match the model's {}",
+            state.augmenter.dv, cfg.feat_dim
+        ));
+    }
+    if state.k != cfg.k {
+        return corrupt(format!(
+            "state ring capacity {} does not match the model's k={}",
+            state.k, cfg.k
+        ));
+    }
+    for ring in &state.rings {
+        let len = ring.entries.len();
+        if len > state.k || ring.head >= len.max(1) || (len < state.k && ring.head != 0) {
+            return corrupt(format!(
+                "ring for node {} is inconsistent ({len} entries, head {}, k={})",
+                ring.node, ring.head, state.k
+            ));
+        }
+        if let Some(e) = ring
+            .entries
+            .iter()
+            .find(|e| e.feat.len() != feat_dim || e.edge_feat.len() != edge_feat_dim)
+        {
+            return corrupt(format!(
+                "ring entry of node {} is {}+{} wide, the model's input is \
+                 {feat_dim}+{edge_feat_dim}",
+                ring.node,
+                e.feat.len(),
+                e.edge_feat.len()
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// The global *witness* state of an edge stream: the feature [`Augmenter`]
@@ -311,53 +361,32 @@ impl StreamingPredictor {
         predictor
     }
 
-    /// Rebuilds a predictor from a model restored with
-    /// [`crate::persist::load_model`], skipping training entirely: the
-    /// augmenter is reconstructed deterministically from the training
-    /// stream and the stored (seeded) config, so the result is identical to
-    /// the predictor that existed when the model was saved.
+    /// Rebuilds the predictor that saved an artifact restored with
+    /// [`crate::persist::load_model`]: the artifact's witness and rings are
+    /// decoded, not recomputed, so the result is bit-identical to the
+    /// saving engine at save time (a checkpoint without a WAL), at O(state)
+    /// cost — no positional embedding, no prefix replay.
+    ///
+    /// `_dataset` is not read: the artifact is self-contained. The
+    /// argument stays for callers that pass the deployment's dataset.
     ///
     /// Returns [`SplashError::NotStreamable`] when the saved model's
     /// feature mode is not a single augmentation process (streaming state
-    /// is defined per process).
+    /// is defined per process), and [`SplashError::CorruptModel`] for a
+    /// weights-only file, which carries no streaming state.
     pub fn try_from_saved(
-        saved: crate::persist::SavedModel,
-        dataset: &Dataset,
+        mut saved: crate::persist::SavedModel,
+        _dataset: &Dataset,
     ) -> Result<Self, SplashError> {
-        let Some(process) = saved.selected() else {
+        if saved.selected().is_none() {
             return Err(SplashError::NotStreamable { mode: saved.mode.name() });
-        };
-        let cfg = saved.cfg;
-        let t_seen = seen_end_time(dataset, SEEN_FRAC);
-        let prefix = dataset.stream.prefix_len_at(t_seen);
-        let augmenter = Augmenter::with_source(
-            &dataset.stream,
-            prefix,
-            dataset.stream.num_nodes(),
-            cfg.feat_dim,
-            &cfg.node2vec,
-            cfg.positional,
-            cfg.degree_alpha,
-            cfg.seed,
-        );
-        let mut predictor = Self {
-            model: saved.model,
-            witness: Some(WitnessState { augmenter, last_time: f64::NEG_INFINITY }),
-            process,
-            rings: Vec::new(),
-            k: cfg.k,
-            cfg,
-            feat_dim: saved.feat_dim,
-            edge_feat_dim: saved.edge_feat_dim,
-            out_dim: saved.out_dim,
-            scratch: RefCell::new(PredictScratch::default()),
-        };
-        let w = predictor.witness.as_mut().expect("just constructed with an owned witness");
-        for edge in &dataset.stream.edges()[..prefix] {
-            Self::remember(&mut predictor.rings, cfg.k, &w.augmenter, process, edge);
-            w.last_time = edge.time;
         }
-        Ok(predictor)
+        let state = saved.state.take().ok_or_else(|| SplashError::CorruptModel {
+            what: "the file holds weights only, no streaming state (save it from a \
+                   streaming engine)"
+                .into(),
+        })?;
+        Self::try_from_saved_state(saved, state)
     }
 
     /// Clones the witness half of the streaming state a durable checkpoint
@@ -384,17 +413,13 @@ impl StreamingPredictor {
             .collect()
     }
 
-    /// Rebuilds a predictor from a restored model *plus* a captured
-    /// [`StreamState`] — the fast-restart path. Unlike
-    /// [`StreamingPredictor::try_from_saved`], this neither rebuilds the
-    /// positional embedding nor replays the training prefix: the cost is
-    /// O(state), independent of the stream length, and the result is
-    /// bit-identical to the predictor that produced the state.
-    ///
-    /// Dimension agreement between the model and the state is the caller's
-    /// contract; the cheap invariants (process mode, feature dimension,
-    /// ring capacity) are re-checked here and report
-    /// [`SplashError::CorruptModel`] on mismatch.
+    /// Rebuilds a predictor from a restored model *plus* a decoded
+    /// [`StreamState`] — the restore path of artifacts and durable
+    /// checkpoints alike. It neither rebuilds the positional embedding nor
+    /// replays any stream: the cost is O(state), independent of the stream
+    /// length, and the result is bit-identical to the predictor that
+    /// produced the state. The state is checked against the model
+    /// ([`check_stream_state`]) before anything is built.
     pub(crate) fn try_from_saved_state(
         saved: crate::persist::SavedModel,
         state: StreamState,
@@ -403,22 +428,7 @@ impl StreamingPredictor {
             return Err(SplashError::NotStreamable { mode: saved.mode.name() });
         };
         let cfg = saved.cfg;
-        if state.augmenter.dv != cfg.feat_dim {
-            return Err(SplashError::CorruptModel {
-                what: format!(
-                    "state feature dim {} does not match the model's {}",
-                    state.augmenter.dv, cfg.feat_dim
-                ),
-            });
-        }
-        if state.k != cfg.k {
-            return Err(SplashError::CorruptModel {
-                what: format!(
-                    "state ring capacity {} does not match the model's k={}",
-                    state.k, cfg.k
-                ),
-            });
-        }
+        check_stream_state(&state, &cfg, saved.feat_dim, saved.edge_feat_dim)?;
         let mut predictor = Self {
             model: saved.model,
             witness: Some(WitnessState {
@@ -435,20 +445,6 @@ impl StreamingPredictor {
             scratch: RefCell::new(PredictScratch::default()),
         };
         for ring in state.rings {
-            if ring.entries.len() > predictor.k
-                || ring.head >= ring.entries.len().max(1)
-                || (ring.entries.len() < predictor.k && ring.head != 0)
-            {
-                return Err(SplashError::CorruptModel {
-                    what: format!(
-                        "ring for node {} is inconsistent ({} entries, head {}, k={})",
-                        ring.node,
-                        ring.entries.len(),
-                        ring.head,
-                        predictor.k
-                    ),
-                });
-            }
             Self::grow_rings(&mut predictor.rings, ring.node);
             let slot = &mut predictor.rings[ring.node as usize];
             slot.head = ring.head;
@@ -460,8 +456,10 @@ impl StreamingPredictor {
         Ok(predictor)
     }
 
-    /// Persists this predictor's model (and everything needed to restore
-    /// it with [`StreamingPredictor::try_from_saved`]) to `path`.
+    /// Persists this predictor to `path` as a self-contained artifact:
+    /// weights plus its streaming state (witness and rings), restored as
+    /// it is now by [`StreamingPredictor::try_from_saved`] or, at any shard
+    /// count, [`crate::shard::ShardedPredictor::try_load`].
     ///
     /// `&mut self` only because parameter access goes through
     /// `Parameterized::params_mut`; no value changes.
@@ -470,34 +468,30 @@ impl StreamingPredictor {
     }
 
     /// [`StreamingPredictor::save`] plus an optional checkpoint of the
-    /// online-fine-tuning optimizer (`SAVEDOPT` section — see
-    /// [`crate::persist::save_model_with_opt`]).
+    /// online-fine-tuning optimizer (the artifact's `SAVEDOPT` section).
     pub fn save_with_opt(
         &mut self,
         path: &std::path::Path,
         opt: Option<&crate::slim::AdamState>,
     ) -> Result<(), SplashError> {
-        crate::persist::save_model_with_opt(
-            path,
-            &mut self.model,
-            &self.cfg,
-            InputFeatures::Process(self.process),
-            self.feat_dim,
-            self.edge_feat_dim,
-            self.out_dim,
-            opt,
-        )
+        let witness = self.durable_witness();
+        let rings = self.durable_rings();
+        let bytes = self.artifact_bytes(opt, Some((&witness, &rings)))?;
+        std::fs::write(path, bytes)?;
+        Ok(())
     }
 
-    /// Serializes this predictor's model artifact (the exact bytes
-    /// [`StreamingPredictor::save_with_opt`] would write) into memory, for
-    /// the durable checkpoint layer to write through its crash-injection
-    /// seam.
-    pub(crate) fn model_artifact_bytes(
+    /// This predictor's weights (and optional `SAVEDOPT` section) as an
+    /// artifact in memory, with `state` as its streaming-state sections —
+    /// the durable checkpoint passes `None` (its witness and rings travel
+    /// in their own files), a sharded save passes the engine's witness and
+    /// merged rings.
+    pub(crate) fn artifact_bytes(
         &mut self,
         opt: Option<&crate::slim::AdamState>,
+        state: Option<(&WitnessSnapshot, &[RingState])>,
     ) -> Result<Vec<u8>, SplashError> {
-        crate::persist::model_artifact_bytes(
+        crate::persist::artifact_bytes(
             &mut self.model,
             &self.cfg,
             InputFeatures::Process(self.process),
@@ -505,29 +499,7 @@ impl StreamingPredictor {
             self.edge_feat_dim,
             self.out_dim,
             opt,
-        )
-    }
-
-    /// Persists this predictor's model as a *sharded* artifact (manifest +
-    /// `shards` model files); the sharded counterpart of
-    /// [`StreamingPredictor::save`], used by
-    /// [`crate::shard::ShardedPredictor::save`].
-    pub(crate) fn save_sharded(
-        &mut self,
-        path: &std::path::Path,
-        shards: usize,
-        opt: Option<&crate::slim::AdamState>,
-    ) -> Result<(), SplashError> {
-        crate::persist::save_sharded_model_with_opt(
-            path,
-            &mut self.model,
-            &self.cfg,
-            InputFeatures::Process(self.process),
-            self.feat_dim,
-            self.edge_feat_dim,
-            self.out_dim,
-            shards,
-            opt,
+            state,
         )
     }
 
@@ -1152,23 +1124,11 @@ mod tests {
         let process = FeatureProcess::Positional;
         let mut live = StreamingPredictor::train_with_process(&dataset, &cfg, process);
 
-        // Save the equivalent model through the lower-level path (training
-        // is deterministic, so the weights are identical).
-        let cap = capture(&dataset, InputFeatures::Process(process), &cfg, SEEN_FRAC);
-        let (train_end, _) = split_bounds(cap.queries.len());
-        let (mut model, _) = train_slim(&cap, &dataset, &cap.queries[..train_end], &cfg);
+        // Save the freshly trained engine (weights plus its training-prefix
+        // state).
         let path = std::env::temp_dir()
             .join(format!("splash-stream-saved-{}.bin", std::process::id()));
-        crate::persist::save_model(
-            &path,
-            &mut model,
-            &cfg,
-            InputFeatures::Process(process),
-            cap.feat_dim,
-            cap.edge_feat_dim,
-            dataset.num_classes,
-        )
-        .unwrap();
+        live.save(&path).unwrap();
         let saved = crate::persist::load_model(&path).unwrap();
         std::fs::remove_file(&path).ok();
         let mut restored = StreamingPredictor::try_from_saved(saved, &dataset)

@@ -340,10 +340,10 @@ fn crash_matrix(shards: usize) {
     let trace = traced_operations(&fx, shards, &base.join("trace"));
     // 1 seed checkpoint + 7 appends + 3 rotation checkpoints, each
     // checkpoint 6 ops unsharded (model, witness, ring shard, manifest,
-    // WAL create, CURRENT) / 9 ops at 3 shards (one shared model file +
-    // its manifest, witness, 3 ring shards, state manifest, WAL create,
+    // WAL create, CURRENT) / 8 ops at 3 shards (one model file at every
+    // shard count, witness, 3 ring shards, state manifest, WAL create,
     // CURRENT).
-    let checkpoint_ops = if shards == 1 { 6 } else { 9 };
+    let checkpoint_ops = if shards == 1 { 6 } else { 8 };
     assert_eq!(trace.len(), 4 * checkpoint_ops + fx.ops.len(), "unexpected op trace: {trace:?}");
 
     let dir = base.join("crash");
@@ -782,7 +782,7 @@ fn recovery_installs_into_a_fresh_service() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Snapshot → restore at a random cut of the script, at a random
     /// checkpoint cadence, equals the never-snapshotted run bit-for-bit —

@@ -62,8 +62,8 @@ fn labels_at(t0: f64, n: usize) -> Vec<PropertyQuery> {
 }
 
 /// One full deployment: train → ingest phase 1 → labels → fine-tune →
-/// (optionally: checkpoint, restart into a fresh service, re-deliver the
-/// stream) → ingest phase 2 → labels → fine-tune → probe predictions.
+/// (optionally: save, restart into a fresh service, load) → ingest
+/// phase 2 → labels → fine-tune → probe predictions.
 /// Returns the concatenated probe logits plus the trainer's Adam clock.
 fn deploy(shards: usize, restart: bool, tag: &str) -> (Vec<f32>, u64) {
     let (dataset, cfg, phase1, phase2) = fixture();
@@ -89,12 +89,8 @@ fn deploy(shards: usize, restart: bool, tag: &str) -> (Vec<f32>, u64) {
         let mut fresh = build_service(&cfg, shards);
         fresh.load_model(MODEL, &path, &dataset).unwrap();
         std::fs::remove_file(&path).ok();
-        for i in 0..shards {
-            std::fs::remove_file(splash::persist::shard_file_path(&path, i)).ok();
-        }
-        // Streaming state is rebuilt from the training prefix; the
-        // deployment re-delivers the live stream it already saw.
-        fresh.ingest(MODEL, IngestRequest::new(&phase1)).unwrap();
+        // The artifact carries the streaming state at save time, so the
+        // restarted deployment carries on with phase 2 directly.
         service = fresh;
     }
 

@@ -5,7 +5,7 @@ use datasets::{Dataset, Task};
 use proptest::prelude::*;
 use splash::{
     capture, encodings, Augmenter, FeatureProcess, InputFeatures, ShardedPredictor,
-    SplashConfig, SplashError, StreamingPredictor,
+    SplashConfig, SplashError, SplashService, StreamingPredictor,
 };
 
 fn arb_dataset(max_nodes: u32, max_edges: usize) -> impl Strategy<Value = Dataset> {
@@ -51,6 +51,16 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 7];
 /// One trained streaming predictor per test thread, cloned per proptest
 /// case: training is deterministic and by far the most expensive step, so
 /// the property loops only pay for ingest + inference.
+fn base_dataset() -> Dataset {
+    splash::truncate_to_available(&datasets::synthetic_shift(40, 6), 0.5)
+}
+
+fn base_config() -> SplashConfig {
+    let mut cfg = SplashConfig::tiny();
+    cfg.epochs = 2;
+    cfg
+}
+
 fn base_predictor() -> StreamingPredictor {
     thread_local! {
         static BASE: std::cell::OnceCell<StreamingPredictor> =
@@ -58,11 +68,11 @@ fn base_predictor() -> StreamingPredictor {
     }
     BASE.with(|cell| {
         cell.get_or_init(|| {
-            let dataset =
-                splash::truncate_to_available(&datasets::synthetic_shift(40, 6), 0.5);
-            let mut cfg = SplashConfig::tiny();
-            cfg.epochs = 2;
-            StreamingPredictor::train_with_process(&dataset, &cfg, FeatureProcess::Structural)
+            StreamingPredictor::train_with_process(
+                &base_dataset(),
+                &base_config(),
+                FeatureProcess::Structural,
+            )
         })
         .clone()
     })
@@ -74,6 +84,52 @@ fn base_predictor() -> StreamingPredictor {
 /// propagation across shard boundaries.
 fn arb_tail(max_edges: usize) -> impl Strategy<Value = Vec<(u32, u32, f64)>> {
     prop::collection::vec((0u32..60, 0u32..60, 0.0f64..3.0), 1..max_edges)
+}
+
+/// Turns `arb_tail` offsets into edges continuing from clock `t`.
+fn tail_from(t: f64, raw: &[(u32, u32, f64)]) -> Vec<TemporalEdge> {
+    let mut t = t;
+    raw.iter()
+        .map(|&(s, d, dt)| {
+            t += dt;
+            TemporalEdge::plain(s, d, t)
+        })
+        .collect()
+}
+
+/// Queries at offsets past clock `t`.
+fn queries_after(t: f64, raw: &[(u32, f64)]) -> Vec<PropertyQuery> {
+    raw.iter()
+        .map(|&(v, dt)| PropertyQuery { node: v, time: t + dt, label: Label::Class(0) })
+        .collect()
+}
+
+/// A per-test, per-process temp path.
+fn tmp_artifact(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("splash-prop-{tag}-{}.bin", std::process::id()))
+}
+
+/// The artifact a service writes right after training the base model
+/// (`SplashService::train_model_with_process` + `save_model`), trained
+/// once per test thread.
+fn fresh_service_artifact() -> Vec<u8> {
+    thread_local! {
+        static BYTES: std::cell::OnceCell<Vec<u8>> = const { std::cell::OnceCell::new() };
+    }
+    BYTES.with(|cell| {
+        cell.get_or_init(|| {
+            let mut service = SplashService::builder(base_config()).build().unwrap();
+            service
+                .train_model_with_process("m", &base_dataset(), FeatureProcess::Structural)
+                .unwrap();
+            let path = tmp_artifact("fresh-service");
+            service.save_model("m", &path).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            bytes
+        })
+        .clone()
+    })
 }
 
 proptest! {
@@ -133,65 +189,137 @@ proptest! {
     }
 
     /// Sharded-artifact round-trip under the shared witness: ingest a
-    /// random tail at N shards, save the artifact (one shared model file),
-    /// reload it at every shard count M (resharding-on-load), replay the
-    /// tail, and the scattered batch must be byte-identical to the single
-    /// engine — with the global witness having seen each replayed edge
-    /// exactly once regardless of M.
+    /// random live prefix at N shards, save the artifact, reload it at
+    /// every shard count M (resharding-on-load), and the scattered batch
+    /// must be byte-identical to the single engine that never restarted —
+    /// right after the load and after a random continuation, with the
+    /// global witness seeing each continued edge exactly once regardless
+    /// of M.
     #[test]
     fn sharded_artifact_roundtrips_across_shard_counts(
-        raw_tail in arb_tail(40),
+        raw_live in arb_tail(40),
+        raw_rest in arb_tail(20),
         raw_queries in prop::collection::vec((0u32..70, 0.0f64..4.0), 1..15),
         save_at in 0usize..SHARD_COUNTS.len(),
     ) {
-        let dataset =
-            splash::truncate_to_available(&datasets::synthetic_shift(40, 6), 0.5);
+        let dataset = base_dataset();
         let mut single = base_predictor();
-        let mut t = single.last_time();
-        let tail: Vec<TemporalEdge> = raw_tail
-            .iter()
-            .map(|&(s, d, dt)| {
-                t += dt;
-                TemporalEdge::plain(s, d, t)
-            })
-            .collect();
-        single.try_push_edges(&tail).unwrap();
-        let t_end = single.last_time();
-        let queries: Vec<PropertyQuery> = raw_queries
-            .iter()
-            .map(|&(v, dt)| PropertyQuery { node: v, time: t_end + dt, label: Label::Class(0) })
-            .collect();
-        let expected = single.try_predict_batch(&queries).unwrap();
+        let live = tail_from(single.last_time(), &raw_live);
+        single.try_push_edges(&live).unwrap();
+        let saved_at = queries_after(single.last_time(), &raw_queries);
+        let expected_saved = single.try_predict_batch(&saved_at).unwrap();
+        let rest = tail_from(single.last_time(), &raw_rest);
+        single.try_push_edges(&rest).unwrap();
+        let after = queries_after(single.last_time(), &raw_queries);
+        let expected_after = single.try_predict_batch(&after).unwrap();
 
         let n = SHARD_COUNTS[save_at];
         let mut origin = ShardedPredictor::from_predictor(base_predictor(), n).unwrap();
-        origin.try_push_edges(&tail).unwrap();
-        let path = std::env::temp_dir().join(format!(
-            "splash-prop-artifact-{}-{n}.manifest",
-            std::process::id()
-        ));
+        origin.try_push_edges(&live).unwrap();
+        let path = tmp_artifact(&format!("reshard-{n}"));
         origin.save(&path).unwrap();
 
         for m in SHARD_COUNTS {
-            let mut loaded = ShardedPredictor::try_load(&path, &dataset, Some(m)).unwrap();
+            let mut loaded = ShardedPredictor::try_load(&path, &dataset, m).unwrap();
+            let got = loaded.try_predict_batch(&saved_at).unwrap();
+            prop_assert_eq!(
+                got.data(),
+                expected_saved.data(),
+                "artifact saved at {} shards diverged loaded at {}",
+                n, m
+            );
             let witnessed_before = loaded.witnessed_edges();
-            loaded.try_push_edges(&tail).unwrap();
+            loaded.try_push_edges(&rest).unwrap();
             prop_assert_eq!(
                 loaded.witnessed_edges() - witnessed_before,
-                tail.len() as u64,
+                rest.len() as u64,
                 "witness must observe each edge exactly once at {} shards",
                 m
             );
-            let got = loaded.try_predict_batch(&queries).unwrap();
+            let got = loaded.try_predict_batch(&after).unwrap();
             prop_assert_eq!(
                 got.data(),
-                expected.data(),
-                "artifact saved at {} shards diverged reloaded at {}",
+                expected_after.data(),
+                "artifact saved at {} shards diverged served on at {}",
                 n, m
             );
         }
-        std::fs::remove_file(splash::persist::shard_file_path(&path, 0)).ok();
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Save after a random live prefix at N ∈ {1, 3} shards, load at every
+    /// M through the service and the engine: the loaded engine is the one
+    /// that saved — same logits on random queries, and it saves the same
+    /// bytes again.
+    #[test]
+    fn artifact_restores_the_engine_that_saved_it(
+        raw_live in arb_tail(40),
+        raw_queries in prop::collection::vec((0u32..70, 0.0f64..4.0), 1..15),
+        sharded in any::<bool>(),
+    ) {
+        let dataset = base_dataset();
+        let mut saver = base_predictor();
+        let live = tail_from(saver.last_time(), &raw_live);
+        let queries = queries_after(live.last().unwrap().time, &raw_queries);
+        let n = if sharded { 3 } else { 1 };
+        let path = tmp_artifact(&format!("saver-{n}"));
+        let expected = if sharded {
+            let mut engine = ShardedPredictor::from_predictor(saver, n).unwrap();
+            engine.try_push_edges(&live).unwrap();
+            engine.save(&path).unwrap();
+            engine.try_predict_batch(&queries).unwrap()
+        } else {
+            saver.try_push_edges(&live).unwrap();
+            saver.save(&path).unwrap();
+            saver.try_predict_batch(&queries).unwrap()
+        };
+        let bytes = std::fs::read(&path).unwrap();
+
+        let resaved = tmp_artifact(&format!("resaved-{n}"));
+        for m in SHARD_COUNTS {
+            let mut service = SplashService::builder(base_config()).shards(m).build().unwrap();
+            service.load_model("m", &path, &dataset).unwrap();
+            let got = service.predict_batch("m", &queries).unwrap();
+            prop_assert_eq!(got.data(), expected.data(), "saved at {}, served at {}", n, m);
+
+            let mut engine = ShardedPredictor::try_load(&path, &dataset, m).unwrap();
+            prop_assert_eq!(engine.try_predict_batch(&queries).unwrap().data(), expected.data());
+            engine.save(&resaved).unwrap();
+            prop_assert!(
+                std::fs::read(&resaved).unwrap() == bytes,
+                "saved at {}, loaded at {}: the re-saved artifact differs",
+                n, m
+            );
+        }
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&resaved).ok();
+    }
+
+    /// A freshly trained artifact loads as the engine in-process training
+    /// builds: the service's training-prefix state ≡
+    /// `StreamingPredictor::train_with_process` on the same dataset, on
+    /// any continuation of the stream. This pins what the retired
+    /// rebuild-from-the-training-stream load used to compute.
+    #[test]
+    fn fresh_artifact_matches_train_with_process(
+        raw_tail in arb_tail(40),
+        raw_queries in prop::collection::vec((0u32..70, 0.0f64..4.0), 1..15),
+    ) {
+        let path = tmp_artifact("fresh");
+        std::fs::write(&path, fresh_service_artifact()).unwrap();
+        let saved = splash::load_model(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let mut loaded = StreamingPredictor::try_from_saved(saved, &base_dataset()).unwrap();
+        let mut trained = base_predictor();
+        prop_assert_eq!(loaded.last_time(), trained.last_time());
+        let tail = tail_from(trained.last_time(), &raw_tail);
+        trained.try_push_edges(&tail).unwrap();
+        loaded.try_push_edges(&tail).unwrap();
+        let queries = queries_after(trained.last_time(), &raw_queries);
+        prop_assert_eq!(
+            loaded.try_predict_batch(&queries).unwrap().data(),
+            trained.try_predict_batch(&queries).unwrap().data()
+        );
     }
 
     /// `DropLate`-shaped streams (some edges stale): every shard shares the

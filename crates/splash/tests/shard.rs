@@ -1,12 +1,12 @@
-//! Behavioral contract of the sharding subsystem: sharded artifacts
-//! round-trip through the manifest at any shard count, corruption is
+//! Behavioral contract of the sharding subsystem: artifacts saved by a
+//! sharded engine restore that engine at any shard count, corruption is
 //! typed, the service façade serves sharded engines bit-identically to
 //! single engines, and the late-edge policy matrix holds under sharding.
 
 use ctdg::{Label, PropertyQuery, TemporalEdge};
 use datasets::Dataset;
 use splash::{
-    load_manifest, seen_end_time, truncate_to_available, FeatureProcess, IngestRequest,
+    seen_end_time, truncate_to_available, FeatureProcess, IngestRequest,
     LateEdgePolicy, PredictRequest, PredictResponse, ShardedPredictor, SplashConfig,
     SplashError, SplashService, StreamingPredictor, SEEN_FRAC,
 };
@@ -36,91 +36,101 @@ fn tmp(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("splash-shard-{tag}-{}.bin", std::process::id()))
 }
 
-/// A model saved at N shards loads and serves identically at M shards —
+/// An engine saved at N shards loads and serves identically at M shards —
 /// for M below, equal to, and above N — and identically to the unsharded
-/// engine. This is the persistence half of the bit-identity acceptance
-/// contract.
+/// engine that never restarted, both right after the load and after the
+/// rest of the stream. This is the persistence half of the bit-identity
+/// acceptance contract.
 #[test]
 fn sharded_artifact_reshards_on_load_bitwise() {
     let (dataset, cfg, tail) = fixture();
+    let (live, rest) = tail.split_at(tail.len() / 2);
     let mut single =
         StreamingPredictor::train_with_process(&dataset, &cfg, FeatureProcess::Positional);
     let mut sharded = ShardedPredictor::from_predictor(single.clone(), 3).unwrap();
+    sharded.try_push_edges(live).unwrap();
+    single.try_push_edges(live).unwrap();
 
     let path = tmp("reshard");
     sharded.save(&path).unwrap();
+    // One artifact, the same bytes an unsharded engine in the same state
+    // writes: the rings are stored merged.
+    let single_path = tmp("reshard-single");
+    single.save(&single_path).unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), std::fs::read(&single_path).unwrap());
 
-    single.try_push_edges(&tail).unwrap();
-    let t0 = single.last_time();
-    let queries = spread_queries(t0, dataset.stream.num_nodes() as u32);
-    let expected = single.try_predict_batch(&queries).unwrap();
+    let n_nodes = dataset.stream.num_nodes() as u32;
+    let saved_at = spread_queries(single.last_time(), n_nodes);
+    let expected_saved = single.try_predict_batch(&saved_at).unwrap();
+    single.try_push_edges(rest).unwrap();
+    let after = spread_queries(single.last_time(), n_nodes);
+    let expected_after = single.try_predict_batch(&after).unwrap();
 
     for m in [1usize, 2, 3, 7] {
-        let mut restored = ShardedPredictor::try_load(&path, &dataset, Some(m)).unwrap();
+        let mut restored = ShardedPredictor::try_load(&path, &dataset, m).unwrap();
         assert_eq!(restored.num_shards(), m);
-        restored.try_push_edges(&tail).unwrap();
-        let got = restored.try_predict_batch(&queries).unwrap();
+        let got = restored.try_predict_batch(&saved_at).unwrap();
         assert_eq!(
             got.data(),
-            expected.data(),
-            "model saved at 3 shards diverged when served at {m}"
+            expected_saved.data(),
+            "engine saved at 3 shards diverged when loaded at {m}"
+        );
+        restored.try_push_edges(rest).unwrap();
+        let got = restored.try_predict_batch(&after).unwrap();
+        assert_eq!(
+            got.data(),
+            expected_after.data(),
+            "engine saved at 3 shards diverged served on at {m}"
         );
     }
-    // `None` keeps the artifact's saved count.
-    let restored = ShardedPredictor::try_load(&path, &dataset, None).unwrap();
-    assert_eq!(restored.num_shards(), 3);
-
-    // The model bytes are stored once: a v2 manifest records the shard
-    // count as data and names exactly one model file.
-    let manifest = load_manifest(&path).unwrap();
-    assert_eq!(manifest.shards, 3);
-    assert_eq!(manifest.files.len(), 1);
-    std::fs::remove_file(splash::persist::shard_file_path(&path, 0)).ok();
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&single_path).ok();
 }
 
-/// The shared model file of a sharded artifact is a complete, standalone
-/// model file (shards share weights, stored once; state is rebuilt on
-/// load).
+/// The artifact a sharded engine saves is a plain single-engine artifact:
+/// `load_model` + `StreamingPredictor::try_from_saved` restore it, and the
+/// restored engine serves on exactly like the sharded one.
 #[test]
 fn shared_model_file_is_independently_loadable() {
     let (dataset, cfg, tail) = fixture();
+    let (live, rest) = tail.split_at(tail.len() / 2);
     let mut sharded =
         ShardedPredictor::train_with_process(&dataset, &cfg, FeatureProcess::Random, 2).unwrap();
+    sharded.try_push_edges(live).unwrap();
     let path = tmp("standalone");
     sharded.save(&path).unwrap();
 
-    sharded.try_push_edges(&tail).unwrap();
-    let t0 = sharded.last_time();
-    let queries = spread_queries(t0, dataset.stream.num_nodes() as u32);
-    let expected = sharded.try_predict_batch(&queries).unwrap();
-
-    let shard_file = splash::persist::shard_file_path(&path, 0);
-    let saved = splash::load_model(&shard_file).unwrap();
+    let saved = splash::load_model(&path).unwrap();
     let mut solo = StreamingPredictor::try_from_saved(saved, &dataset).unwrap();
-    solo.try_push_edges(&tail).unwrap();
+    assert_eq!(solo.last_time(), sharded.last_time());
+    sharded.try_push_edges(rest).unwrap();
+    solo.try_push_edges(rest).unwrap();
+    let queries = spread_queries(sharded.last_time(), dataset.stream.num_nodes() as u32);
+    let expected = sharded.try_predict_batch(&queries).unwrap();
     let got = solo.try_predict_batch(&queries).unwrap();
-    assert_eq!(got.data(), expected.data(), "shared model file diverged");
-    std::fs::remove_file(&shard_file).ok();
+    assert_eq!(got.data(), expected.data(), "single engine diverged from the sharded one");
     std::fs::remove_file(&path).ok();
 }
 
-/// Manifest damage is typed: bad magic / truncation / checksum mismatch /
-/// missing shard file load as `CorruptModel`, a foreign format revision as
-/// `PersistVersionMismatch` — never a panic, never a half-built engine.
+/// Damage to an artifact a sharded engine saved is typed through
+/// `try_load`: truncation and a flipped byte load as `CorruptModel` (the
+/// flip names the checksum), a foreign format revision and a retired
+/// `SPLASHS` shard manifest as `PersistVersionMismatch`, a missing file as
+/// `Io` — never a panic, never a half-built engine. Section-by-section
+/// coverage lives in the `persist` unit tests.
 #[test]
 fn corrupt_sharded_artifacts_are_typed() {
-    let (dataset, cfg, _) = fixture();
+    let (dataset, cfg, tail) = fixture();
     let mut sharded =
         ShardedPredictor::train_with_process(&dataset, &cfg, FeatureProcess::Random, 2).unwrap();
+    sharded.try_push_edges(&tail[..tail.len() / 2]).unwrap();
     let path = tmp("corrupt");
     sharded.save(&path).unwrap();
-    let manifest_bytes = std::fs::read(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
 
-    // Truncations anywhere inside the manifest body.
-    for keep in [9usize, 13, manifest_bytes.len() - 1] {
-        std::fs::write(&path, &manifest_bytes[..keep]).unwrap();
-        let err = ShardedPredictor::try_load(&path, &dataset, None).unwrap_err();
+    for keep in [0usize, 9, 13, bytes.len() / 3, bytes.len() / 2, bytes.len() - 1] {
+        std::fs::write(&path, &bytes[..keep]).unwrap();
+        let err = ShardedPredictor::try_load(&path, &dataset, 2).unwrap_err();
         assert!(
             matches!(err, SplashError::CorruptModel { .. }),
             "truncation to {keep} bytes: {err:?}"
@@ -128,43 +138,42 @@ fn corrupt_sharded_artifacts_are_typed() {
     }
 
     // A foreign format revision reports the found/supported pair.
-    let mut versioned = manifest_bytes.clone();
+    let mut versioned = bytes.clone();
     versioned[8..12].copy_from_slice(&42u32.to_le_bytes());
     std::fs::write(&path, &versioned).unwrap();
-    match ShardedPredictor::try_load(&path, &dataset, None).unwrap_err() {
+    match ShardedPredictor::try_load(&path, &dataset, 2).unwrap_err() {
         SplashError::PersistVersionMismatch { found, supported } => {
             assert_eq!(found, 42);
-            assert_eq!(supported, 2);
+            assert_eq!(supported, 3);
         }
         other => panic!("expected PersistVersionMismatch, got {other:?}"),
     }
 
-    // A tampered shard file fails its manifest checksum, by name.
-    std::fs::write(&path, &manifest_bytes).unwrap();
-    let shard0 = splash::persist::shard_file_path(&path, 0);
-    let mut shard_bytes = std::fs::read(&shard0).unwrap();
-    let mid = shard_bytes.len() / 2;
-    shard_bytes[mid] ^= 0xFF;
-    std::fs::write(&shard0, &shard_bytes).unwrap();
-    let err = ShardedPredictor::try_load(&path, &dataset, None).unwrap_err();
-    match &err {
-        SplashError::CorruptModel { what } => {
-            assert!(what.contains("checksum"), "{what}");
-            assert!(what.contains(".shard0"), "{what}");
-        }
-        other => panic!("expected CorruptModel, got {other:?}"),
-    }
-
-    // A missing shard file is named too.
-    std::fs::remove_file(&shard0).unwrap();
-    let err = ShardedPredictor::try_load(&path, &dataset, None).unwrap_err();
+    // A retired shard manifest (magic `SPLASHS`, revision 2).
+    let mut manifest = b"SPLASHS\x01".to_vec();
+    manifest.extend_from_slice(&2u32.to_le_bytes());
+    manifest.extend_from_slice(&2u64.to_le_bytes());
+    std::fs::write(&path, &manifest).unwrap();
+    let err = ShardedPredictor::try_load(&path, &dataset, 2).unwrap_err();
     assert!(
-        matches!(&err, SplashError::CorruptModel { what } if what.contains("missing")),
+        matches!(err, SplashError::PersistVersionMismatch { found: 2, supported: 3 }),
         "{err:?}"
     );
 
-    std::fs::remove_file(splash::persist::shard_file_path(&path, 1)).ok();
-    std::fs::remove_file(&path).ok();
+    // A flipped byte fails the checksum, by name.
+    let mut flipped = bytes.clone();
+    let mid = flipped.len() / 2;
+    flipped[mid] ^= 0xFF;
+    std::fs::write(&path, &flipped).unwrap();
+    match ShardedPredictor::try_load(&path, &dataset, 2).unwrap_err() {
+        SplashError::CorruptModel { what } => assert!(what.contains("checksum"), "{what}"),
+        other => panic!("expected CorruptModel, got {other:?}"),
+    }
+
+    // A missing file is plain I/O.
+    std::fs::remove_file(&path).unwrap();
+    let err = ShardedPredictor::try_load(&path, &dataset, 2).unwrap_err();
+    assert!(matches!(err, SplashError::Io(_)), "{err:?}");
 }
 
 /// The service façade over a sharded engine: ingest/predict/batch are
@@ -242,47 +251,52 @@ fn sharded_service_matches_single_service_bitwise() {
 }
 
 /// Save/load through the service registry, across engine forms: a sharded
-/// slot writes a manifest artifact that hot-swaps back bit-identically
-/// into services configured with *different* shard counts (including 1),
-/// and a single-file artifact loads into a sharded service.
+/// slot's artifact hot-swaps back bit-identically into services configured
+/// with *different* shard counts (including 1), and a single-engine
+/// artifact loads into a sharded service. Each loaded slot carries on
+/// from the saved state, without the stream it had already seen.
 #[test]
 fn service_registry_roundtrips_sharded_artifacts() {
     let (dataset, cfg, tail) = fixture();
+    let (live, rest) = tail.split_at(tail.len() / 2);
     let mut origin = SplashService::builder(cfg).shards(3).build().unwrap();
     origin
         .train_model_with_process("live", &dataset, FeatureProcess::Positional)
         .unwrap();
+    origin.ingest("live", IngestRequest::new(live)).unwrap();
     let path = tmp("svc");
     origin.save_model("live", &path).unwrap();
-    origin.ingest("live", IngestRequest::new(&tail)).unwrap();
+    let t_saved = origin.model_last_time("live").unwrap() + 1.0;
+    let at_save = origin.predict("live", PredictRequest::new(5, t_saved)).unwrap();
+    origin.ingest("live", IngestRequest::new(rest)).unwrap();
     let t_q = origin.model_last_time("live").unwrap() + 1.0;
     let expected = origin.predict("live", PredictRequest::new(5, t_q)).unwrap();
 
     for shards in [1usize, 2, 5] {
         let mut svc = SplashService::builder(cfg).shards(shards).build().unwrap();
         svc.load_model("serving", &path, &dataset).unwrap();
-        svc.ingest("serving", IngestRequest::new(&tail)).unwrap();
+        let got = svc.predict("serving", PredictRequest::new(5, t_saved)).unwrap();
+        assert_eq!(at_save.logits, got.logits, "diverged at load at {shards} shards");
+        svc.ingest("serving", IngestRequest::new(rest)).unwrap();
         let got = svc.predict("serving", PredictRequest::new(5, t_q)).unwrap();
         assert_eq!(expected.logits, got.logits, "diverged at {shards} shards");
         assert_eq!(svc.stats().shards, shards as u64);
     }
 
-    // Single-file artifact → sharded service.
+    // Single-engine artifact → sharded service.
     let single_path = tmp("svc-single");
     let mut single_svc = SplashService::builder(cfg).build().unwrap();
     single_svc
         .train_model_with_process("live", &dataset, FeatureProcess::Positional)
         .unwrap();
+    single_svc.ingest("live", IngestRequest::new(live)).unwrap();
     single_svc.save_model("live", &single_path).unwrap();
     let mut svc = SplashService::builder(cfg).shards(4).build().unwrap();
     svc.load_model("serving", &single_path, &dataset).unwrap();
-    svc.ingest("serving", IngestRequest::new(&tail)).unwrap();
+    svc.ingest("serving", IngestRequest::new(rest)).unwrap();
     let got = svc.predict("serving", PredictRequest::new(5, t_q)).unwrap();
-    assert_eq!(expected.logits, got.logits, "single-file artifact diverged sharded");
+    assert_eq!(expected.logits, got.logits, "single-engine artifact diverged sharded");
 
-    for i in 0..3 {
-        std::fs::remove_file(splash::persist::shard_file_path(&path, i)).ok();
-    }
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&single_path).ok();
 }

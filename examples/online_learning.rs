@@ -61,11 +61,11 @@ fn main() {
     );
     println!("served logits moved after publish: the model is learning in place");
 
-    // Checkpoint mid-deployment. The artifact carries the weights AND the
-    // optimizer (SAVEDOPT section) — but not the replay buffer, so flush
-    // it first: fine_tune consumes the 10 labels still waiting (50 labels
-    // at cadence 20 leave a remainder) and publishes. From a drained
-    // buffer, a restarted service that re-delivers the stream continues
+    // Checkpoint mid-deployment. The artifact carries the weights, the
+    // optimizer (SAVEDOPT section) and the streaming state — but not the
+    // replay buffer, so flush it first: fine_tune consumes the 10 labels
+    // still waiting (50 labels at cadence 20 leave a remainder) and
+    // publishes. From a drained buffer, a restarted service continues
     // bit-identically to one that never stopped.
     service.fine_tune("live").expect("flush before checkpoint");
     let artifact = std::env::temp_dir()
@@ -78,9 +78,6 @@ fn main() {
         .expect("stock config is valid");
     restarted.load_model("live", &artifact, &dataset).expect("checkpoint restores");
     std::fs::remove_file(&artifact).ok();
-    // Streaming state rebuilds from the training prefix; re-deliver what
-    // the original deployment already saw.
-    restarted.ingest("live", IngestRequest::new(&tail[..mid])).expect("replay");
 
     // Both deployments now live through the same second phase...
     for svc in [&mut service, &mut restarted] {

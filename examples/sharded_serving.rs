@@ -74,29 +74,23 @@ fn main() {
     }
     println!("  witness : {} edges observed once", service.stats().edges_witnessed);
 
-    // Sharded persistence: a manifest plus one shared model file —
-    // and resharding-on-load, here 4 → 2 engines serving identically.
+    // Persistence: one self-contained artifact (weights, the witness, and
+    // every shard's rings merged) — and resharding-on-load, here 4 → 2
+    // engines serving identically, without re-sending the stream.
     let artifact = std::env::temp_dir()
-        .join(format!("splash-sharded-serving-{}.manifest", std::process::id()));
+        .join(format!("splash-sharded-serving-{}.bin", std::process::id()));
     service.save_model("live", &artifact).expect("artifact writes");
-    let mut resharded =
-        ShardedPredictor::try_load(&artifact, &dataset, Some(2)).expect("artifact reshards");
-    resharded.try_push_edges(&tail).expect("tail replays");
-    let replayed = resharded.try_predict_batch(&queries).expect("valid queries");
+    let resharded =
+        ShardedPredictor::try_load(&artifact, &dataset, 2).expect("artifact reshards");
+    let restored = resharded.try_predict_batch(&queries).expect("valid queries");
     assert_eq!(
         expected.data(),
-        replayed.data(),
-        "a model saved at 4 shards must serve identically at 2"
+        restored.data(),
+        "an engine saved at 4 shards must serve identically at 2"
     );
     println!("artifact saved at 4 shards reloaded at 2: still bit-identical");
-    let model_file = splash_repro::splash::persist::shard_file_path(&artifact, 0);
-    let size = |p: &std::path::Path| std::fs::metadata(p).map(|m| m.len()).unwrap_or(0);
-    println!(
-        "artifact on disk: {} B manifest + {} B shared model file (shards share weights, stored once)",
-        size(&artifact),
-        size(&model_file)
-    );
-    std::fs::remove_file(&model_file).ok();
+    let size = std::fs::metadata(&artifact).map(|m| m.len()).unwrap_or(0);
+    println!("artifact on disk: {size} B (weights once, witness once, rings merged)");
     std::fs::remove_file(&artifact).ok();
 
     let stats = service.stats();
