@@ -25,6 +25,24 @@ if [[ "${1:-}" == "--quick" ]]; then
     exit 0
 fi
 
+echo "==> release-mode kernels: the fused inference bodies the server runs, bit for bit"
+# Tier-1's `cargo test` is a debug build, so it never runs the vectorized
+# code of the fused MLP kernel (nn::fused) that a release server runs.
+# Here the kernel's own tests (every epilogue, remainder and fallback on
+# every body the host supports, plus the golden hashes) and SLIM's
+# infer ≡ forward bit tests run optimized; the proptests and the durable
+# crash matrix then run once per body (NN_ISA picks it; a name the host
+# cannot run falls back to its fastest body).
+FUSED_LOG=$(mktemp)
+cargo test --release -q -p nn fused -- --nocapture >"$FUSED_LOG" 2>&1 || { cat "$FUSED_LOG"; exit 1; }
+grep -o 'fused bodies checked:.*' "$FUSED_LOG"
+rm -f "$FUSED_LOG"
+cargo test --release -q -p splash --lib slim::
+for isa in portable avx2 avx512f; do
+    echo "    NN_ISA=$isa"
+    NN_ISA=$isa NN_THREADS=1 cargo test --release -q -p splash --test proptests --test durable
+done
+
 echo "==> lint gate: clippy warning-free across the workspace, tests included"
 cargo clippy --workspace --all-targets -- -D warnings
 

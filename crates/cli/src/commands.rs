@@ -378,10 +378,11 @@ fn serving_setup(args: &Args) -> Result<ServingSetup, ArgError> {
     let edges = args.require("edges")?.to_string();
     let queries = args.require("queries")?.to_string();
 
-    // Read the artifact's header first: its output width bounds the legal
+    // Decode the artifact first, once: its output width bounds the legal
     // labels (load_dataset checks them) and its edge-feature width must
     // match the stream, so incompatible inputs fail here as rendered
-    // errors instead of shape panics mid-serve.
+    // errors instead of shape panics mid-serve. The same decoded model is
+    // installed below.
     let saved = load_model(Path::new(&model_path))
         .map_err(|e| ArgError(format!("{model_path}: {e}")))?;
     let dataset = load_dataset(
@@ -411,7 +412,7 @@ fn serving_setup(args: &Args) -> Result<ServingSetup, ArgError> {
     }
     let mut service = builder.build().map_err(|e| ArgError(e.to_string()))?;
     service
-        .load_model("serving", Path::new(&model_path), &dataset)
+        .load_saved("serving", saved, &dataset)
         .map_err(|e| ArgError(format!("{model_path}: {e}")))?;
 
     // `--checkpoint-dir` makes the deployment durable. An empty directory

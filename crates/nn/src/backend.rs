@@ -41,12 +41,13 @@
 //! any backend, and `--no-default-features` builds are a scheduling
 //! fallback, not a numeric fork.
 //!
-//! **Skipping zeros vs. adding them.** The fused message kernel behind
-//! [`crate::Mlp::infer_weighted_sum_into`] is branch-free: it adds `a·b`
-//! for every `a`, zeros included, where these kernels skip `a == 0.0`.
-//! The two agree bit for bit whenever every `b` is finite, for this
-//! reason. An accumulator starts at `+0.0`, and it receives multiply-then-
-//! add steps (no FMA). In round-to-nearest, `x + y` is `−0.0` only when
+//! **Skipping zeros vs. adding them.** The fused inference kernel behind
+//! [`crate::Mlp::infer_into`] and [`crate::Mlp::infer_weighted_sum_into`]
+//! (two-layer ReLU MLPs) is branch-free: it adds `a·b` for every `a`,
+//! zeros included, where these kernels skip `a == 0.0`. The two agree bit
+//! for bit whenever every `b` is finite, for this reason. An accumulator
+//! starts at `+0.0`, and it receives multiply-then-add steps (no FMA).
+//! In round-to-nearest, `x + y` is `−0.0` only when
 //! both `x` and `y` are `−0.0`, so an accumulator that starts at `+0.0`
 //! can never become `−0.0`. A skipped step has `a = ±0`, so its product
 //! `a·b` is `±0` when `b` is finite, and adding `±0` to any value that is
@@ -54,7 +55,11 @@
 //! additions change nothing, and the bias is added after the sum in both
 //! forms. A non-finite `b` breaks this (`0·inf` and `0·NaN` are NaN), so
 //! the fused kernel scans its weight matrices on every call and hands any
-//! model with a NaN or ±inf weight to the unfused path instead.
+//! model with a NaN or ±inf weight to the unfused path instead. The
+//! argument holds lane by lane, so it covers each of the kernel's
+//! compiled bodies (portable, `avx2`, `avx512f`; [`crate::Isa`]): a
+//! vector lane makes exactly the scalar multiply and add of its element,
+//! and no body contracts them into an FMA.
 //!
 //! Future SIMD or GPU backends slot in by implementing [`Backend`]; batch
 //! call sites that want an explicit choice use [`Matrix::matmul_with`].

@@ -62,6 +62,7 @@ pub use attention::{
     TransformerBlockCache,
 };
 pub use dft::{FrequencyFilter, FrequencyFilterCache};
+pub use fused::{with_isa, Isa};
 pub use gru::{GruCache, GruCell};
 pub use init::{he, randn, randn_matrix, xavier};
 pub use layer_norm::{LayerNorm, LayerNormCache};

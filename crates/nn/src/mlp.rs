@@ -101,7 +101,34 @@ impl Mlp {
 
     /// [`Mlp::infer`] into a caller-owned output, drawing intermediates
     /// from `ws` (allocation-free after warm-up, bit-identical results).
+    ///
+    /// A two-layer ReLU MLP with finite weights runs the fused,
+    /// register-tiled kernel, which never materializes the `(rows, hidden)`
+    /// intermediate; any other MLP (or one holding a NaN/±inf weight) runs
+    /// layer by layer on the matmul backend. Both give the same bits.
     pub fn infer_into(&self, x: &Matrix, out: &mut Matrix, ws: &mut Workspace) {
+        self.infer_fused_into(x, out, ws);
+    }
+
+    /// [`Mlp::infer_into`]; returns whether the fused kernel ran.
+    pub(crate) fn infer_fused_into(
+        &self,
+        x: &Matrix,
+        out: &mut Matrix,
+        ws: &mut Workspace,
+    ) -> bool {
+        if let Some((l1, l2)) = self.fusable() {
+            if crate::fused::store(l1, l2, x, out, ws) {
+                return true;
+            }
+        }
+        self.infer_layered_into(x, out, ws);
+        false
+    }
+
+    /// [`Mlp::infer_into`] layer by layer on the matmul backend: the
+    /// unfused path, and the reference the fused kernel is checked against.
+    pub(crate) fn infer_layered_into(&self, x: &Matrix, out: &mut Matrix, ws: &mut Workspace) {
         let last = self.layers.len() - 1;
         let mut h = ws.take(0, 0);
         let mut next = ws.take(0, 0);
@@ -118,6 +145,15 @@ impl Mlp {
         ws.give(next);
     }
 
+    /// The two layers of a two-layer ReLU MLP, the shape the fused kernel
+    /// covers.
+    fn fusable(&self) -> Option<(&Linear, &Linear)> {
+        match (self.layers.as_slice(), self.activation) {
+            ([l1, l2], Activation::Relu) => Some((l1, l2)),
+            _ => None,
+        }
+    }
+
     /// Weighted per-segment sums of the inference outputs over ragged
     /// row lists: `x` holds `k` rows per segment, segment `q` has
     /// `lens[q] ≤ k` valid rows, and `sum` becomes `(lens.len(), out)`
@@ -127,10 +163,9 @@ impl Mlp {
     /// Bit-identical to [`Mlp::infer_into`] over all of `x`, then
     /// [`Matrix::scale_rows_assign`], then adding each segment's valid rows
     /// into a zeroed `sum` in slot order. A two-layer ReLU MLP with finite
-    /// weights runs a fused, register-tiled kernel that never
-    /// materializes the `(rows, hidden)` intermediates; any other MLP (or
-    /// one holding a NaN/±inf weight) runs exactly that unfused sequence.
-    /// Allocation-free once `sum` and `ws` have warmed up.
+    /// weights runs the fused kernel over the valid rows only; any other
+    /// MLP (or one holding a NaN/±inf weight) runs exactly that unfused
+    /// sequence. Allocation-free once `sum` and `ws` have warmed up.
     pub fn infer_weighted_sum_into(
         &self,
         x: &Matrix,
@@ -140,15 +175,12 @@ impl Mlp {
         sum: &mut Matrix,
         ws: &mut Workspace,
     ) {
-        self.weighted_sum_with(x, weights, lens, k, sum, ws, crate::fused::use_avx2());
+        self.weighted_sum_fused_into(x, weights, lens, k, sum, ws);
     }
 
-    /// [`Mlp::infer_weighted_sum_into`] with the fused kernel's body chosen
-    /// by `avx2` (only set it on an avx2 CPU); returns whether the fused
-    /// kernel ran. The seam that lets tests drive both bodies and the
-    /// fallback.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn weighted_sum_with(
+    /// [`Mlp::infer_weighted_sum_into`]; returns whether the fused kernel
+    /// ran.
+    pub(crate) fn weighted_sum_fused_into(
         &self,
         x: &Matrix,
         weights: &[f32],
@@ -156,7 +188,6 @@ impl Mlp {
         k: usize,
         sum: &mut Matrix,
         ws: &mut Workspace,
-        avx2: bool,
     ) -> bool {
         assert_eq!(
             x.shape(),
@@ -164,24 +195,14 @@ impl Mlp {
             "message matrix shape"
         );
         sum.resize_zeroed(lens.len(), self.out_dim());
-        if let ([l1, l2], Activation::Relu) = (self.layers.as_slice(), self.activation) {
-            let fused = crate::fused::message_sum(
-                l1,
-                l2,
-                x.data(),
-                weights,
-                lens,
-                k,
-                sum.data_mut(),
-                ws,
-                avx2,
-            );
-            if fused {
+        if let Some((l1, l2)) = self.fusable() {
+            let data = sum.data_mut();
+            if crate::fused::message_sum(l1, l2, x.data(), weights, lens, k, data, ws) {
                 return true;
             }
         }
         let mut m = ws.take(0, 0);
-        self.infer_into(x, &mut m, ws);
+        self.infer_layered_into(x, &mut m, ws);
         m.scale_rows_assign(weights);
         for (q, &len) in lens.iter().enumerate() {
             assert!(len <= k, "segment {q}: {len} rows exceed k = {k}");

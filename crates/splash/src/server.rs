@@ -58,7 +58,7 @@
 //! | `POST /models/{name}/labels` | [`SplashService::observe_labels`] |
 //! | `POST /models/{name}/fine-tune` | [`SplashService::fine_tune`] |
 //! | `POST /models/{name}/publish` | [`SplashService::publish`] |
-//! | `POST /models/{name}/load` | [`SplashService::load_model`] (hot-swap) |
+//! | `POST /models/{name}/load` | [`SplashService::load_saved`] (hot-swap) |
 //!
 //! ```no_run
 //! use splash::server::{ServerConfig, SplashServer};
@@ -86,6 +86,7 @@ use datasets::{queries_from_csv, Dataset, Task};
 use nn::Matrix;
 
 use crate::error::SplashError;
+use crate::persist::SavedModel;
 use crate::service::{IngestRequest, SplashService};
 use crate::telemetry::Telemetry;
 
@@ -815,8 +816,8 @@ fn execute(service: &mut SplashService, route: &Route, body: &[u8]) -> Response 
                     return Response::err(400, "BadRequest", format!("error: bad load body: {msg}"))
                 }
             };
-            match load_dataset_for(&model, &edges, &queries, task, classes) {
-                Ok(dataset) => match service.load_model(name, Path::new(&model), &dataset) {
+            match load_for(&model, &edges, &queries, task, classes) {
+                Ok((saved, dataset)) => match service.load_saved(name, saved, &dataset) {
                     Ok(()) => Response::ok(format!("loaded {name} from {model}\n")),
                     Err(e) => Response::splash(&e),
                 },
@@ -826,27 +827,40 @@ fn execute(service: &mut SplashService, route: &Route, body: &[u8]) -> Response 
     }
 }
 
-/// Loads the dataset a `/load` request names (the artifact's own
-/// `out_dim` caps the label universe when the request does not name
-/// `classes` explicitly). The artifact carries its own streaming state;
-/// the service reads only the dataset's task.
-fn load_dataset_for(
+/// Decodes the artifact and loads the dataset a `/load` request names,
+/// reading the artifact once. Its own `out_dim` caps the label universe
+/// when the request does not name `classes` explicitly; when it does,
+/// the dataset is checked first. The artifact carries its own streaming
+/// state; the service reads only the dataset's task.
+fn load_for(
     model: &str,
     edges: &str,
     queries: &str,
     task: Task,
     classes: Option<usize>,
-) -> Result<Dataset, Response> {
-    let classes = match classes {
-        Some(c) => c,
-        None => {
-            let saved = match crate::persist::load_model(Path::new(model)) {
-                Ok(s) => s,
-                Err(e) => return Err(Response::splash(&e)),
-            };
-            saved.out_dim
+) -> Result<(SavedModel, Dataset), Response> {
+    let decode = || crate::persist::load_model(Path::new(model)).map_err(|e| Response::splash(&e));
+    Ok(match classes {
+        Some(c) => {
+            let dataset = load_dataset_for(edges, queries, task, c)?;
+            (decode()?, dataset)
         }
-    };
+        None => {
+            let saved = decode()?;
+            let dataset = load_dataset_for(edges, queries, task, saved.out_dim)?;
+            (saved, dataset)
+        }
+    })
+}
+
+/// Loads the dataset a `/load` request names, checking every label
+/// against `classes`.
+fn load_dataset_for(
+    edges: &str,
+    queries: &str,
+    task: Task,
+    classes: usize,
+) -> Result<Dataset, Response> {
     let read = |p: &str| {
         std::fs::read_to_string(p)
             .map_err(|e| Response::err(422, "Io", format!("error: {p}: {e}")))

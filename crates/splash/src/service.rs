@@ -62,6 +62,7 @@ use crate::durable::{
 };
 use crate::error::SplashError;
 use crate::online::{FineTuneReport, OnlineConfig, OnlineTrainer};
+use crate::persist::SavedModel;
 use crate::shard::{ShardStats, ShardedPredictor};
 use crate::slim::{AdamState, SlimModel};
 use crate::stream::{check_edge_width, StreamingPredictor};
@@ -871,7 +872,19 @@ impl SplashService {
         path: &Path,
         dataset: &Dataset,
     ) -> Result<(), SplashError> {
-        let mut saved = crate::persist::load_model(path)?;
+        self.load_saved(name, crate::persist::load_model(path)?, dataset)
+    }
+
+    /// [`SplashService::load_model`] from an artifact already decoded with
+    /// [`crate::persist::load_model`], for callers that read its header
+    /// first (e.g. its `out_dim` to check labels against): the file is then
+    /// read and decoded once per load, not twice.
+    pub fn load_saved(
+        &mut self,
+        name: &str,
+        mut saved: SavedModel,
+        dataset: &Dataset,
+    ) -> Result<(), SplashError> {
         saved.cfg.validate()?;
         let opt = saved.opt.take();
         let predictor = StreamingPredictor::try_from_saved(saved, dataset)?;

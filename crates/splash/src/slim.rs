@@ -266,7 +266,9 @@ impl SlimModel {
     /// trunk of the inference paths. The message sum (Eqs. 14–17) runs
     /// MLP₁ over the valid message rows only, fused with the edge-weight
     /// scaling and the per-query sum ([`Mlp::infer_weighted_sum_into`]);
-    /// the training forward keeps the unfused sequence its backward needs.
+    /// MLP₂ here and the decoder in [`SlimModel::infer_into`] run the same
+    /// fused kernel with a store epilogue ([`Mlp::infer_into`]). The
+    /// training forward keeps the unfused sequence its backward needs.
     fn represent_core(&self, batch: &SlimBatch, h: &mut Matrix, ws: &mut Workspace) {
         let b = batch.lens.len();
         let dh = self.ln1.dim();
@@ -622,6 +624,65 @@ mod tests {
         assert_eq!(logits.data(), out.data());
         model.represent_into(&batch, &mut out, &mut ws);
         assert_eq!(h.data(), out.data());
+    }
+
+    /// [`infer_and_represent_match_forward_bitwise`] at the paper's default
+    /// size (d_v=32, k=10, hidden=64; 8-d edge features, out_dim 2), where
+    /// every inference MLP runs the fused kernel with full-width register
+    /// blocks, on every kernel body the host supports. Every parameter is
+    /// perturbed (so biases and LayerNorm affines are not at their
+    /// initial zeros/ones), ~30% of the inputs are exact zeros, and the
+    /// neighbor lists are ragged, some longer than `k`.
+    #[test]
+    fn default_size_infer_matches_forward_bitwise_on_every_body() {
+        use rand::RngExt;
+        let cfg = SplashConfig::default();
+        let (dv, de) = (cfg.feat_dim, 8);
+        let mut rng = StdRng::seed_from_u64(19);
+        let mut model = SlimModel::new(&cfg, dv, de, 2, &mut rng);
+        for p in model.params_mut() {
+            for v in p.value.data_mut() {
+                *v += rng.random_range(-0.2f32..0.2);
+            }
+        }
+        let feat = |n: usize, rng: &mut StdRng| -> Vec<f32> {
+            (0..n)
+                .map(|_| match rng.random_range(0.0f32..1.0) < 0.3 {
+                    true => 0.0,
+                    false => rng.random_range(-2.0f32..2.0),
+                })
+                .collect()
+        };
+        let queries: Vec<CapturedQuery> = (0..37)
+            .map(|_| {
+                let neighbors = (0..rng.random_range(0..=cfg.k + 2))
+                    .map(|i| CapturedNeighbor {
+                        other: 1,
+                        feat: feat(dv, &mut rng),
+                        edge_feat: feat(de, &mut rng),
+                        time: 50.0 + i as f64,
+                        weight: rng.random_range(0.0f32..2.0),
+                    })
+                    .collect();
+                query(feat(dv, &mut rng), neighbors)
+            })
+            .collect();
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for b in [1, queries.len()] {
+            let mut batch = SlimBatch::default();
+            model.build_batch_into(&queries[..b], &mut batch);
+            let (logits, h, _) = model.forward(&batch);
+            for isa in nn::Isa::supported() {
+                nn::with_isa(isa, || {
+                    assert_eq!(bits(&logits), bits(&model.infer(&batch)), "{isa:?} b={b}");
+                    assert_eq!(bits(&h), bits(&model.represent(&batch)), "{isa:?} b={b}");
+                    let mut ws = nn::Workspace::new();
+                    let mut out = nn::Matrix::default();
+                    model.infer_into(&batch, &mut out, &mut ws);
+                    assert_eq!(bits(&logits), bits(&out), "{isa:?} b={b}");
+                });
+            }
+        }
     }
 
     /// The visitor traversal must enumerate exactly the `params_mut`

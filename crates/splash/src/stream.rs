@@ -948,9 +948,11 @@ impl StreamingPredictor {
     ///
     /// Bit-identical to calling [`StreamingPredictor::try_predict`] per
     /// query (the `predict_batch_matches_single_predictions` test pins
-    /// this): batching amortizes input assembly and lets the
-    /// blocked/parallel matmul backend work on tall matrices instead of
-    /// single rows, but every query's logits are still computed from
+    /// this): batching amortizes input assembly and the fused inference
+    /// kernel's per-call work (its scan of the weights for non-finite
+    /// values) over the batch, fills the kernel's 4-row tiles, and runs
+    /// 256-query chunks in parallel under the `parallel` feature, but
+    /// every query's logits are still computed from
     /// exactly the same captured state. Queries may carry distinct
     /// timestamps; every query time is validated *before* any assembly
     /// work, and a past-time query reports [`SplashError::PastQuery`].

@@ -302,6 +302,47 @@ fn wire_replay_is_bit_identical_three_shards() {
     assert_wire_matches_in_process(3);
 }
 
+/// `/load` without `classes=` (the artifact's own `out_dim` caps the
+/// labels) installs the same engine as an in-process `load_model` of the
+/// same file: the replayed tail is bit-identical over the wire.
+#[test]
+fn wire_load_without_classes_serves_like_in_process_load() {
+    let (dataset, cfg) = fixture();
+    let dir = std::env::temp_dir().join(format!("splash-wire-load-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (model, edges, queries) =
+        (dir.join("model.bin"), dir.join("edges.csv"), dir.join("queries.csv"));
+    trained_service(&dataset, &cfg, 1).save_model("live", &model).unwrap();
+    std::fs::write(&edges, datasets::edges_to_csv(&dataset)).unwrap();
+    std::fs::write(&queries, datasets::queries_to_csv(&dataset)).unwrap();
+    let empty = || SplashService::builder(cfg).build().unwrap();
+
+    let mut in_proc = empty();
+    in_proc.load_model("live", &model, &dataset).unwrap();
+    let handle = SplashServer::bind(empty(), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.addr());
+    let task = match dataset.task {
+        datasets::Task::Anomaly => "anomaly",
+        datasets::Task::Classification => "classification",
+        datasets::Task::Affinity => "affinity",
+    };
+    let body = format!(
+        "model={}\nedges={}\nqueries={}\ntask={task}\n",
+        model.display(),
+        edges.display(),
+        queries.display()
+    );
+    let reply = client.request("POST", "/models/live/load", &[], &body);
+    assert_eq!(reply.status, 200, "{}", reply.body);
+
+    let (wire_bits, _) = replay_over_wire(&mut client, &dataset);
+    let (local_bits, _) = replay_in_process(&mut in_proc, &dataset);
+    assert!(!local_bits.is_empty(), "fixture produced no live queries");
+    assert_eq!(wire_bits, local_bits, "wire-loaded model diverged bitwise from load_model");
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A K-query `/predict` runs as one batched forward. Its rows must equal K
 /// single-query predicts bit for bit — on a SPLASH slot and on an external
 /// baseline slot — and it must count the same served queries.
