@@ -128,12 +128,16 @@ echo "==> serial fallback: splash without its 'parallel' chunking"
 cargo test -q -p splash --no-default-features
 
 echo "==> serial fallback: shard parity with the fan-out pinned off"
-# The sharded engine must be bit-identical to the single engine on the
-# strictly sequential dispatch path too (NN_THREADS=1 disables the
-# thread-per-shard scatter even with the 'parallel' feature on).
+# Every shard count must give the unsharded engine's bits on the serial
+# partition path too: with NN_THREADS=1 ingest writes owner rings
+# straight from the witness and a batch is answered in place, even with
+# the 'parallel' feature on.
 NN_THREADS=1 cargo test -q -p splash --test shard --test proptests
 
 echo "==> forced threading: the 1-core container never spawns by default"
+# NN_THREADS=4 runs the threaded partition paths on any host: ingest
+# through EdgeSnapshots with one thread per partition, and batched
+# predicts scattered to one thread per partition and gathered back.
 NN_THREADS=4 cargo test -q -p nn -p splash
 
 echo "==> alloc regression: steady-state streaming stays off the allocator"
@@ -155,7 +159,7 @@ NN_THREADS=1 cargo test -q -p splash --test durable
 echo "==> wire serving: socket-level suite (bit-identity, fuzz-lite, backpressure), serial"
 # The server's engine thread is the only service owner either way;
 # NN_THREADS=1 additionally pins the sharded wire-replay leg to the
-# sequential scatter path, matching the in-process comparison run.
+# serial partition path, matching the in-process comparison run.
 NN_THREADS=1 cargo test -q -p splash_repro --test server
 
 echo "==> benches compile"

@@ -637,12 +637,17 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
         "throughput     : {:.0} queries/s ({elapsed:.2}s wall)",
         stats.queries_served as f64 / elapsed.max(1e-9),
     );
-    for s in service.shard_stats("serving").map_err(|e| ArgError(e.to_string()))? {
-        let _ = writeln!(
-            report,
-            "  shard {:<2}     : {} ring nodes, {} owned edges, {} queries",
-            s.shard, s.owned_nodes, s.owned_edges, s.queries_served,
-        );
+    // Per-shard rows only for a sharded engine: one row would repeat the
+    // totals above.
+    let shards = service.shard_stats("serving").map_err(|e| ArgError(e.to_string()))?;
+    if shards.len() > 1 {
+        for s in &shards {
+            let _ = writeln!(
+                report,
+                "  shard {:<2}     : {} ring nodes, {} owned edges, {} queries",
+                s.shard, s.owned_nodes, s.owned_edges, s.queries_served,
+            );
+        }
     }
     let _ = writeln!(report, "test {:<10}: {metric:.4}", metric_name(task));
     Ok(report)

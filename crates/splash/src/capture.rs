@@ -8,7 +8,7 @@
 //! are immutable afterwards, so models can train for multiple epochs over
 //! minibatches without violating streaming semantics.
 
-use ctdg::{replay, Event, Label, NodeId};
+use ctdg::{replay, Event, Label, NodeId, TemporalEdge};
 use datasets::Dataset;
 use nn::{Matrix, randn_matrix};
 use rand::{rngs::StdRng, SeedableRng};
@@ -127,59 +127,124 @@ pub struct Capture {
     pub edge_feat_dim: usize,
 }
 
-/// A fixed-size ring of [`CapturedNeighbor`]s per node.
-#[derive(Debug)]
-struct FeatRing {
-    entries: Vec<CapturedNeighbor>,
-    head: usize,
+impl CapturedNeighbor {
+    /// Overwrites everything but `feat` with `edge` as seen from the ring
+    /// whose neighbor is `other`, reusing the edge-feature buffer.
+    pub(crate) fn set_edge(&mut self, other: NodeId, edge: &TemporalEdge) {
+        self.other = other;
+        self.edge_feat.clear();
+        self.edge_feat.extend_from_slice(&edge.feat);
+        self.time = edge.time;
+        self.weight = edge.weight;
+    }
 }
 
-#[derive(Debug)]
-struct FeatMemory {
-    rings: Vec<FeatRing>,
+/// One node's Eq. 14 neighbor memory: the `k` most recent incident edges
+/// with their feature snapshots. Offline capture, baseline serving
+/// ([`CaptureStream`]) and the streaming engine all keep their rings in
+/// this one type.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Ring {
+    /// Captured neighbors in *storage* order: the oldest-first read order
+    /// is `entries[head..]` then `entries[..head]`.
+    pub(crate) entries: Vec<CapturedNeighbor>,
+    /// Overwrite cursor (0 while the ring is still filling).
+    pub(crate) head: usize,
+}
+
+impl Ring {
+    /// The slot the next entry overwrites: a fresh slot while the ring
+    /// fills, then the oldest one. A full ring reuses the slot's buffers,
+    /// so steady-state writes stay off the allocator.
+    pub(crate) fn push_slot(&mut self, k: usize) -> &mut CapturedNeighbor {
+        if self.entries.len() < k {
+            if self.entries.capacity() == 0 {
+                // One allocation per ring, ever: the ring can only hold k
+                // entries, so reserve them all on first touch instead of
+                // growing through the doubling sequence.
+                self.entries.reserve_exact(k);
+            }
+            self.entries.push(CapturedNeighbor::default());
+            self.entries.last_mut().expect("just pushed")
+        } else {
+            let head = self.head;
+            self.head = (self.head + 1) % k;
+            &mut self.entries[head]
+        }
+    }
+
+    /// The entries oldest first, as two contiguous slices (no per-entry
+    /// modulo walk).
+    pub(crate) fn oldest_first(&self) -> (&[CapturedNeighbor], &[CapturedNeighbor]) {
+        (&self.entries[self.head..], &self.entries[..self.head])
+    }
+}
+
+/// Per-node [`Ring`]s of capacity `k`, indexed by node id and grown on
+/// demand; a node without a ring reads as empty.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Rings {
+    rings: Vec<Ring>,
     k: usize,
 }
 
-impl FeatMemory {
-    fn new(n: usize, k: usize) -> Self {
-        Self {
-            rings: (0..n).map(|_| FeatRing { entries: Vec::new(), head: 0 }).collect(),
-            k,
-        }
+impl Rings {
+    /// An empty table of capacity-`k` rings.
+    pub(crate) fn new(k: usize) -> Self {
+        Self { rings: Vec::new(), k }
     }
 
-    fn grow(&mut self, node: NodeId) {
+    /// Grows the table to cover `node`. Unwritten rings stay empty,
+    /// invisible to queries and to saves.
+    pub(crate) fn grow(&mut self, node: NodeId) {
         let need = node as usize + 1;
-        while self.rings.len() < need {
-            self.rings.push(FeatRing { entries: Vec::new(), head: 0 });
+        if self.rings.len() < need {
+            self.rings.resize_with(need, Ring::default);
         }
     }
 
-    fn push(&mut self, node: NodeId, entry: CapturedNeighbor) {
+    /// [`Ring::push_slot`] on `node`'s ring, growing the table if needed.
+    pub(crate) fn push_slot(&mut self, node: NodeId) -> &mut CapturedNeighbor {
         self.grow(node);
-        let k = self.k;
-        let ring = &mut self.rings[node as usize];
-        if ring.entries.len() < k {
-            ring.entries.push(entry);
-        } else {
-            ring.entries[ring.head] = entry;
-            ring.head = (ring.head + 1) % k;
+        self.rings[node as usize].push_slot(self.k)
+    }
+
+    /// [`Ring::oldest_first`] on `node`'s ring (empty without one).
+    pub(crate) fn oldest_first(&self, node: NodeId) -> (&[CapturedNeighbor], &[CapturedNeighbor]) {
+        match self.rings.get(node as usize) {
+            Some(ring) => ring.oldest_first(),
+            None => (&[], &[]),
         }
     }
 
-    fn collect(&self, node: NodeId) -> Vec<CapturedNeighbor> {
-        match self.rings.get(node as usize) {
-            None => Vec::new(),
-            Some(ring) => {
-                // Oldest-first = entries[head..] then entries[..head]: two
-                // contiguous memcpy-able slices instead of a per-entry
-                // modulo walk.
-                let mut out = Vec::with_capacity(ring.entries.len());
-                out.extend_from_slice(&ring.entries[ring.head..]);
-                out.extend_from_slice(&ring.entries[..ring.head]);
-                out
-            }
-        }
+    /// Length of the table (one past the highest node id it covers).
+    pub(crate) fn len(&self) -> usize {
+        self.rings.len()
+    }
+
+    /// The non-empty rings with their node ids, in node order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (NodeId, &Ring)> {
+        self.rings
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| !r.entries.is_empty())
+            .map(|(i, r)| (i as NodeId, r))
+    }
+
+    /// Moves the non-empty rings out, in node order, leaving the table
+    /// empty.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = (NodeId, Ring)> + '_ {
+        self.rings
+            .drain(..)
+            .enumerate()
+            .filter(|(_, r)| !r.entries.is_empty())
+            .map(|(i, r)| (i as NodeId, r))
+    }
+
+    /// Installs `ring` as `node`'s ring.
+    pub(crate) fn insert(&mut self, node: NodeId, ring: Ring) {
+        self.grow(node);
+        self.rings[node as usize] = ring;
     }
 }
 
@@ -227,7 +292,7 @@ impl ConstantTable {
 }
 
 impl Provider {
-    fn observe(&mut self, edge: &ctdg::TemporalEdge) {
+    fn observe(&mut self, edge: &TemporalEdge) {
         match self {
             Provider::Constant { .. } => {}
             Provider::Augmented { aug, .. } | Provider::Joint { aug } => aug.observe(edge),
@@ -311,7 +376,7 @@ pub fn capture(dataset: &Dataset, mode: InputFeatures, cfg: &SplashConfig, seen_
     let feat_dim = provider.dim();
     let edge_feat_dim = dataset.stream.feat_dim();
 
-    let mut memory = FeatMemory::new(dataset.stream.num_nodes(), cfg.k);
+    let mut rings = Rings::new(cfg.k);
     let mut captured = Vec::with_capacity(dataset.queries.len());
 
     // Augmented providers were already fed the training prefix by
@@ -330,36 +395,22 @@ pub fn capture(dataset: &Dataset, mode: InputFeatures, cfg: &SplashConfig, seen_
                 }
                 // Snapshot post-edge features (degrees include this edge).
                 let src_feat = provider.feat(edge.src);
-                let dst_feat = provider.feat(edge.dst);
-                memory.push(
-                    edge.src,
-                    CapturedNeighbor {
-                        other: edge.dst,
-                        feat: dst_feat,
-                        edge_feat: edge.feat.to_vec(),
-                        time: edge.time,
-                        weight: edge.weight,
-                    },
-                );
+                let slot = rings.push_slot(edge.src);
+                slot.set_edge(edge.dst, edge);
+                slot.feat = provider.feat(edge.dst);
                 if edge.src != edge.dst {
-                    memory.push(
-                        edge.dst,
-                        CapturedNeighbor {
-                            other: edge.src,
-                            feat: src_feat,
-                            edge_feat: edge.feat.to_vec(),
-                            time: edge.time,
-                            weight: edge.weight,
-                        },
-                    );
+                    let slot = rings.push_slot(edge.dst);
+                    slot.set_edge(edge.src, edge);
+                    slot.feat = src_feat;
                 }
             }
             Event::Query(_, q) => {
+                let (older, newer) = rings.oldest_first(q.node);
                 captured.push(CapturedQuery {
                     node: q.node,
                     time: q.time,
                     target_feat: provider.feat(q.node),
-                    neighbors: memory.collect(q.node),
+                    neighbors: older.iter().chain(newer).cloned().collect(),
                     label: q.label.clone(),
                 });
             }
@@ -386,7 +437,7 @@ pub fn capture(dataset: &Dataset, mode: InputFeatures, cfg: &SplashConfig, seen_
 #[derive(Debug)]
 pub struct CaptureStream {
     table: ConstantTable,
-    memory: FeatMemory,
+    rings: Rings,
     /// Initial node-universe size (rings may grow past it as unseen nodes
     /// stream in).
     initial_nodes: usize,
@@ -412,7 +463,7 @@ impl CaptureStream {
         };
         Ok(Self {
             table,
-            memory: FeatMemory::new(dataset.stream.num_nodes(), cfg.k),
+            rings: Rings::new(cfg.k),
             initial_nodes: dataset.stream.num_nodes(),
             edge_feat_dim: dataset.stream.feat_dim(),
             last_time: f64::NEG_INFINITY,
@@ -428,7 +479,7 @@ impl CaptureStream {
     /// Size of the known node universe (initial nodes plus any later ids
     /// the stream has touched).
     pub fn known_nodes(&self) -> usize {
-        self.initial_nodes.max(self.memory.rings.len())
+        self.initial_nodes.max(self.rings.len())
     }
 
     /// Node feature dimension of the captured features.
@@ -444,34 +495,18 @@ impl CaptureStream {
     /// Observes one edge, snapshotting both endpoints' features at its
     /// arrival (Eq. 14) into the endpoint rings. Rejects time travel with
     /// [`SplashError::OutOfOrderEdge`], leaving the state untouched.
-    pub fn try_observe_edge(&mut self, edge: &ctdg::TemporalEdge) -> Result<(), SplashError> {
+    pub fn try_observe_edge(&mut self, edge: &TemporalEdge) -> Result<(), SplashError> {
         if edge.time < self.last_time {
             return Err(SplashError::OutOfOrderEdge { got: edge.time, last: self.last_time });
         }
         self.last_time = edge.time;
-        let dst_feat = self.table.feat(edge.dst);
-        self.memory.push(
-            edge.src,
-            CapturedNeighbor {
-                other: edge.dst,
-                feat: dst_feat,
-                edge_feat: edge.feat.to_vec(),
-                time: edge.time,
-                weight: edge.weight,
-            },
-        );
+        let slot = self.rings.push_slot(edge.src);
+        slot.set_edge(edge.dst, edge);
+        slot.feat = self.table.feat(edge.dst);
         if edge.src != edge.dst {
-            let src_feat = self.table.feat(edge.src);
-            self.memory.push(
-                edge.dst,
-                CapturedNeighbor {
-                    other: edge.src,
-                    feat: src_feat,
-                    edge_feat: edge.feat.to_vec(),
-                    time: edge.time,
-                    weight: edge.weight,
-                },
-            );
+            let slot = self.rings.push_slot(edge.dst);
+            slot.set_edge(edge.src, edge);
+            slot.feat = self.table.feat(edge.src);
         }
         Ok(())
     }
@@ -479,7 +514,7 @@ impl CaptureStream {
     /// Observes a chronological batch atomically: the whole batch is
     /// validated against the stream clock before any state changes, so a
     /// rejected batch leaves the stream exactly as it was.
-    pub fn try_push_edges(&mut self, edges: &[ctdg::TemporalEdge]) -> Result<(), SplashError> {
+    pub fn try_push_edges(&mut self, edges: &[TemporalEdge]) -> Result<(), SplashError> {
         let mut prev = self.last_time;
         for edge in edges {
             if edge.time < prev {
@@ -512,11 +547,10 @@ impl CaptureStream {
         q.time = time;
         q.target_feat.clear();
         q.target_feat.extend_from_slice(&self.table.feat(node));
+        let (older, newer) = self.rings.oldest_first(node);
         q.neighbors.clear();
-        if let Some(ring) = self.memory.rings.get(node as usize) {
-            q.neighbors.extend_from_slice(&ring.entries[ring.head..]);
-            q.neighbors.extend_from_slice(&ring.entries[..ring.head]);
-        }
+        q.neighbors.extend_from_slice(older);
+        q.neighbors.extend_from_slice(newer);
         q.label = label.clone();
         Ok(())
     }

@@ -91,16 +91,6 @@ pub enum SplashError {
         /// Display name of the offending feature mode.
         mode: &'static str,
     },
-    /// A request asked for the wrong engine form: single-engine access
-    /// ([`crate::SplashService::model`]) to a model served by multiple
-    /// shards, or sharded access ([`crate::SplashService::sharded_model`])
-    /// to a single-engine model.
-    ShardedModel {
-        /// The registry name of the model.
-        name: String,
-        /// How many shards actually serve it.
-        shards: usize,
-    },
     /// A ground-truth observation fed to the continual learner cannot be
     /// trained on: the label does not fit the model's task or output
     /// width, carries non-finite affinity mass, or arrives with a
@@ -177,7 +167,6 @@ impl SplashError {
             SplashError::PersistVersionMismatch { .. } => "PersistVersionMismatch",
             SplashError::CorruptModel { .. } => "CorruptModel",
             SplashError::NotStreamable { .. } => "NotStreamable",
-            SplashError::ShardedModel { .. } => "ShardedModel",
             SplashError::LabelMismatch { .. } => "LabelMismatch",
             SplashError::OnlineDisabled { .. } => "OnlineDisabled",
             SplashError::WalCorrupt { .. } => "WalCorrupt",
@@ -220,8 +209,7 @@ impl SplashError {
             SplashError::WalCorrupt { .. } | SplashError::CheckpointMissing { .. } => 422,
             // The request asks for a capability this deployment lacks, or
             // conflicts with serving state that must be drained first.
-            SplashError::ShardedModel { .. }
-            | SplashError::OnlineDisabled { .. }
+            SplashError::OnlineDisabled { .. }
             | SplashError::CheckpointUnflushed { .. } => 409,
             SplashError::Io(_) => 500,
             // `#[non_exhaustive]`: unknown future variants are server-side.
@@ -264,11 +252,6 @@ impl fmt::Display for SplashError {
                 f,
                 "feature mode {mode} cannot back a streaming predictor \
                  (streaming state needs a single augmentation process)"
-            ),
-            SplashError::ShardedModel { name, shards } => write!(
-                f,
-                "model {name:?} is served by {shards} shard(s), which does not \
-                 match the requested engine access"
             ),
             SplashError::LabelMismatch { expected } => {
                 write!(f, "label does not fit the model: expected {expected}")

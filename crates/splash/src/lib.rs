@@ -29,13 +29,13 @@
 //! process. (The old infallible wrappers are gone; panicking call sites
 //! spell the policy themselves with `try_* + unwrap`.)
 //!
-//! For **scale-out**, the [`shard`] module splits a model into one shared
+//! For **scale-out**, one [`StreamingPredictor`] holds the model once, one
 //! witness — the global feature tracker and stream clock, updated once
-//! per edge — plus N hash-partitioned ring partitions served by
-//! [`ShardedPredictor`] engines: scatter–gather queries, routed ingest
-//! where each shard touches only its owned edges, persistence as one
-//! self-contained artifact at any shard count — output bit-identical to
-//! the single engine at every shard count.
+//! per edge — and N ring partitions hash-partitioned by [`shard_of`]
+//! ([`StreamingPredictor::reshard`]): ingest writes each edge's rings on
+//! their owner partitions only, batched predicts fan out one thread per
+//! partition, and an artifact is the same file at any partition count —
+//! output bit-identical at every count.
 //!
 //! For **continual learning**, the [`online`] module fine-tunes a served
 //! model from the live label stream without downtime: a hot-standby
@@ -118,7 +118,7 @@ pub use service::{
     ModelInfo, PredictRequest, PredictResponse, ServeEngine, ServiceStats, SplashService,
     SplashServiceBuilder,
 };
-pub use shard::{shard_of, ShardStats, ShardedPredictor};
+pub use shard::{shard_of, ShardStats};
 pub use slim::{AdamState, SlimBatch, SlimCache, SlimModel};
 pub use stream::StreamingPredictor;
 pub use telemetry::{Counter, Gauge, Histogram, Registry, Telemetry, TraceSpan};

@@ -141,8 +141,7 @@ impl SavedModel {
 
 /// Writes `model` and its context to `path` as a weights-only artifact
 /// (no streaming state). The pipeline's ablation runs save this way;
-/// streaming engines save through [`crate::StreamingPredictor::save`],
-/// [`crate::ShardedPredictor::save`] or
+/// streaming engines save through [`crate::StreamingPredictor::save`] or
 /// [`crate::SplashService::save_model`], which add the witness and rings.
 ///
 /// `model` is taken mutably only because parameter access goes through

@@ -63,7 +63,7 @@ use crate::durable::{
 use crate::error::SplashError;
 use crate::online::{FineTuneReport, OnlineConfig, OnlineTrainer};
 use crate::persist::SavedModel;
-use crate::shard::{ShardStats, ShardedPredictor};
+use crate::shard::ShardStats;
 use crate::slim::{AdamState, SlimModel};
 use crate::stream::{check_edge_width, StreamingPredictor};
 use crate::telemetry::{escape_label_value, Gauge, Telemetry};
@@ -209,12 +209,11 @@ pub struct ServiceStats {
     pub edges_dropped: u64,
     /// Predictions served (single + batched).
     pub queries_served: u64,
-    /// Shard engines across the registry (a single-engine model counts 1).
+    /// Ring partitions (shards) across the registry; an unsharded or
+    /// external model counts 1.
     pub shards: u64,
-    /// Edges observed by the shared witness of sharded engines — exactly
-    /// one count per engine regardless of its shard count (PR 10 replaced
-    /// the per-shard `witness_edges` accounting, which multiplied the same
-    /// work N-fold, with this single global counter).
+    /// Edges observed by the witnesses of the SPLASH engines — exactly one
+    /// count per edge per engine, whatever its shard count.
     pub edges_witnessed: u64,
     /// Ground-truth labels captured for continual learning.
     pub labels_buffered: u64,
@@ -405,20 +404,14 @@ impl fmt::Display for ModelInfo {
     }
 }
 
-/// The serving engine behind one registry slot: a single streaming
-/// predictor, a hash-partitioned group of them, or an externally
-/// implemented [`ServeEngine`]. The enum delegates the handful of calls
-/// the façade makes, so the policy/accounting code above it is
-/// engine-agnostic — and so is the bit-identity contract, since the
-/// sharded engine reproduces the single engine exactly.
+/// The serving engine behind one registry slot: the SPLASH streaming
+/// engine (at any shard count) or an externally implemented
+/// [`ServeEngine`]. The enum delegates the handful of calls the façade
+/// makes, so the policy/accounting code above it is engine-agnostic.
 #[derive(Debug)]
 enum Engine {
-    /// One streaming predictor (the default, `shards == 1`). Boxed so the
-    /// enum stays small next to the `Vec`-backed sharded variant.
-    Single(Box<StreamingPredictor>),
-    /// `N` hash-partitioned predictors behind a scatter–gather router.
-    /// Boxed for the same reason: the router carries per-shard scratch.
-    Sharded(Box<ShardedPredictor>),
+    /// The SPLASH engine. Boxed so the enum stays small.
+    Splash(Box<StreamingPredictor>),
     /// An externally implemented engine behind the same slot surface
     /// (serving-only: no trainer, no persistence).
     External(Box<dyn ServeEngine>),
@@ -428,48 +421,45 @@ impl Engine {
     /// The [`ModelInfo`] engine-kind label.
     fn kind_label(&self) -> String {
         match self {
-            Engine::Single(_) | Engine::Sharded(_) => "splash".to_string(),
+            Engine::Splash(_) => "splash".to_string(),
             Engine::External(e) => e.kind(),
         }
     }
 
     fn shards(&self) -> usize {
         match self {
-            Engine::Single(_) | Engine::External(_) => 1,
-            Engine::Sharded(s) => s.num_shards(),
+            Engine::Splash(p) => p.num_shards(),
+            Engine::External(_) => 1,
         }
     }
 
-    /// Edges the engine's shared witness has observed — one global count
-    /// per sharded engine (the single-writer witness pass); 0 for the
-    /// other engine kinds, whose ingest shows in `edges_ingested`.
+    /// Edges the engine's witness has observed — one global count per
+    /// SPLASH engine; 0 for an external engine, whose ingest shows in
+    /// `edges_ingested`.
     fn witnessed_edges(&self) -> u64 {
         match self {
-            Engine::Sharded(s) => s.witnessed_edges(),
-            Engine::Single(_) | Engine::External(_) => 0,
+            Engine::Splash(p) => p.witnessed_edges(),
+            Engine::External(_) => 0,
         }
     }
 
     fn last_time(&self) -> f64 {
         match self {
-            Engine::Single(p) => p.last_time(),
-            Engine::Sharded(s) => s.last_time(),
+            Engine::Splash(p) => p.last_time(),
             Engine::External(e) => e.last_time(),
         }
     }
 
     fn known_nodes(&self) -> usize {
         match self {
-            Engine::Single(p) => p.known_nodes(),
-            Engine::Sharded(s) => s.known_nodes(),
+            Engine::Splash(p) => p.known_nodes(),
             Engine::External(e) => e.known_nodes(),
         }
     }
 
     fn try_push_edges(&mut self, edges: &[TemporalEdge]) -> Result<(), SplashError> {
         match self {
-            Engine::Single(p) => p.try_push_edges(edges),
-            Engine::Sharded(s) => s.try_push_edges(edges),
+            Engine::Splash(p) => p.try_push_edges(edges),
             Engine::External(e) => e.try_push_edges(edges),
         }
     }
@@ -478,18 +468,17 @@ impl Engine {
     /// touches the engine, so that path stays batch-atomic too (an
     /// external engine validates its own input).
     fn check_edge_widths(&self, edges: &[TemporalEdge]) -> Result<(), SplashError> {
-        let width = match self {
-            Engine::Single(p) => p.edge_feat_dim(),
-            Engine::Sharded(s) => s.edge_feat_dim(),
-            Engine::External(_) => return Ok(()),
-        };
-        edges.iter().try_for_each(|e| check_edge_width(e, width))
+        match self {
+            Engine::Splash(p) => {
+                edges.iter().try_for_each(|e| check_edge_width(e, p.edge_feat_dim()))
+            }
+            Engine::External(_) => Ok(()),
+        }
     }
 
     fn try_observe_edge(&mut self, edge: &TemporalEdge) -> Result<(), SplashError> {
         match self {
-            Engine::Single(p) => p.try_observe_edge(edge),
-            Engine::Sharded(s) => s.try_observe_edge(edge),
+            Engine::Splash(p) => p.try_observe_edge(edge),
             Engine::External(e) => e.try_observe_edge(edge),
         }
     }
@@ -501,16 +490,14 @@ impl Engine {
         out: &mut Vec<f32>,
     ) -> Result<(), SplashError> {
         match self {
-            Engine::Single(p) => p.try_predict_into(node, time, out),
-            Engine::Sharded(s) => s.try_predict_into(node, time, out),
+            Engine::Splash(p) => p.try_predict_into(node, time, out),
             Engine::External(e) => e.try_predict_into(node, time, out),
         }
     }
 
     fn try_predict_batch(&self, queries: &[PropertyQuery]) -> Result<Matrix, SplashError> {
         match self {
-            Engine::Single(p) => p.try_predict_batch(queries),
-            Engine::Sharded(s) => s.try_predict_batch(queries),
+            Engine::Splash(p) => p.try_predict_batch(queries),
             Engine::External(e) => e.try_predict_batch(queries),
         }
     }
@@ -521,8 +508,7 @@ impl Engine {
         out: &mut Matrix,
     ) -> Result<(), SplashError> {
         match self {
-            Engine::Single(p) => p.try_predict_batch_into(queries, out),
-            Engine::Sharded(s) => s.try_predict_batch_into(queries, out),
+            Engine::Splash(p) => p.try_predict_batch_into(queries, out),
             Engine::External(e) => {
                 *out = e.try_predict_batch(queries)?;
                 Ok(())
@@ -530,22 +516,20 @@ impl Engine {
         }
     }
 
-    fn save(&mut self, path: &Path, opt: Option<&AdamState>) -> Result<(), SplashError> {
+    /// The SPLASH engine, for the paths an external engine cannot take
+    /// (persistence): `Err` names the external engine's kind and `what` it
+    /// cannot be.
+    fn splash_mut(&mut self, what: &str) -> Result<&mut StreamingPredictor, SplashError> {
         match self {
-            Engine::Single(p) => p.save_with_opt(path, opt),
-            Engine::Sharded(s) => s.save_with_opt(path, opt),
+            Engine::Splash(p) => Ok(p),
             Engine::External(e) => Err(SplashError::InvalidConfig {
-                what: format!(
-                    "external engine {:?} cannot be persisted (serving-only slot)",
-                    e.kind()
-                ),
+                what: format!("external engine {:?} cannot be {what} (serving-only slot)", e.kind()),
             }),
         }
     }
 
     /// Assembles a labeled training example from the engine's current
-    /// streaming state (the owner shard's, for a sharded engine — same
-    /// bits as the single engine by the sharding invariant).
+    /// streaming state (read from the owner partition of `node`).
     fn capture_labeled_into(
         &self,
         node: NodeId,
@@ -555,74 +539,22 @@ impl Engine {
         spare: &mut Vec<CapturedNeighbor>,
     ) -> Result<(), SplashError> {
         match self {
-            Engine::Single(p) => p.capture_labeled_into(node, time, label, q, spare),
-            Engine::Sharded(s) => s.capture_labeled_into(node, time, label, q, spare),
+            Engine::Splash(p) => p.capture_labeled_into(node, time, label, q, spare),
             // Unreachable in practice: external slots carry no trainer, so
             // nothing ever captures through them — but keep it typed.
             Engine::External(e) => Err(SplashError::OnlineDisabled { name: e.kind() }),
         }
     }
 
-    /// Atomically replaces the served weights (every shard of a sharded
-    /// engine — shards share weights). Streaming state is untouched, so
-    /// the next query runs the new weights over exactly the state the old
-    /// weights saw.
+    /// Atomically replaces the served weights (held once, whatever the
+    /// shard count). Streaming state is untouched, so the next query runs
+    /// the new weights over exactly the state the old weights saw.
     fn set_weights(&mut self, src: &SlimModel) {
         match self {
-            Engine::Single(p) => p.set_model_weights(src),
-            Engine::Sharded(s) => s.set_weights(src),
+            Engine::Splash(p) => p.set_model_weights(src),
             // No SLIM weights to publish into; unreachable because external
             // slots have no trainer, and harmless if that ever changes.
             Engine::External(_) => {}
-        }
-    }
-
-    /// The witness snapshot plus per-shard ring partitions for a durable
-    /// checkpoint (one ring partition for the single engine).
-    #[allow(clippy::type_complexity)]
-    fn durable_stream_state(
-        &self,
-    ) -> Result<(crate::stream::WitnessSnapshot, Vec<Vec<crate::stream::RingState>>), SplashError>
-    {
-        match self {
-            Engine::Single(p) => Ok((p.durable_witness(), vec![p.durable_rings()])),
-            Engine::Sharded(s) => Ok((s.durable_witness(), s.durable_ring_shards())),
-            // Unreachable in the checkpoint flow: an external slot fails
-            // earlier, in `model_bytes` — but keep it typed.
-            Engine::External(e) => Err(SplashError::InvalidConfig {
-                what: format!(
-                    "external engine {:?} cannot be checkpointed (serving-only slot)",
-                    e.kind()
-                ),
-            }),
-        }
-    }
-
-    /// The served weights as a weights-only artifact (persist format,
-    /// optional `SAVEDOPT` section) for a durable checkpoint.
-    fn model_bytes(&mut self, opt: Option<&AdamState>) -> Result<Vec<u8>, SplashError> {
-        match self {
-            Engine::Single(p) => p.artifact_bytes(opt, None),
-            Engine::Sharded(s) => s.weights_bytes(opt),
-            Engine::External(e) => Err(SplashError::InvalidConfig {
-                what: format!(
-                    "external engine {:?} cannot be checkpointed (serving-only slot)",
-                    e.kind()
-                ),
-            }),
-        }
-    }
-
-    /// A copy of the served weights (shards share them), for rebuilding a
-    /// trainer at recovery. `None` for an external engine, which has no
-    /// SLIM weights (recovery only ever constructs SPLASH engines).
-    fn model_clone(&self) -> Option<SlimModel> {
-        match self {
-            Engine::Single(p) => Some(p.model().clone()),
-            Engine::Sharded(s) => Some(
-                s.shard(0).expect("a sharded engine has at least one shard").model().clone(),
-            ),
-            Engine::External(_) => None,
         }
     }
 }
@@ -668,10 +600,11 @@ impl SplashServiceBuilder {
         self
     }
 
-    /// How many hash-partitioned shards serve each registered model
-    /// (default 1 = the plain single engine). Any count produces
-    /// bit-identical predictions; more shards split state and scatter
-    /// query compute ([`crate::shard`]). Must be positive — checked by
+    /// How many ring partitions (shards) serve each registered model
+    /// (default 1 = unpartitioned). Any count produces bit-identical
+    /// predictions; more shards split the ring state and, with threads
+    /// available, the ingest and batched-predict work
+    /// ([`StreamingPredictor::reshard`]). Must be positive — checked by
     /// [`SplashServiceBuilder::build`].
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
@@ -781,17 +714,9 @@ impl SplashService {
         }
     }
 
-    /// Wraps a freshly built predictor in the engine form the service was
-    /// configured for (single at `shards == 1`, scatter–gather otherwise).
+    /// Serves a freshly built predictor at the service's shard count.
     fn engine_for(&self, predictor: StreamingPredictor) -> Result<Engine, SplashError> {
-        if self.shards == 1 {
-            Ok(Engine::Single(Box::new(predictor)))
-        } else {
-            Ok(Engine::Sharded(Box::new(ShardedPredictor::from_predictor(
-                predictor,
-                self.shards,
-            )?)))
-        }
+        Ok(Engine::Splash(Box::new(predictor.reshard(self.shards)?)))
     }
 
     /// Trains a model on `dataset` with automatic feature selection and
@@ -918,7 +843,7 @@ impl SplashService {
             return Err(SplashError::CheckpointUnflushed { buffered });
         }
         let opt = trainer.as_mut().map(|t| t.checkpoint());
-        engine.save(path, opt.as_ref())
+        engine.splash_mut("persisted")?.save_with_opt(path, opt.as_ref())
     }
 
     /// Removes the named model from the registry, dropping its per-model
@@ -974,22 +899,14 @@ impl SplashService {
         Ok(())
     }
 
-    /// Direct (read-only) access to a registered single-engine predictor —
-    /// the escape hatch for callers that need core APIs the façade does
-    /// not wrap (representations, `predict_many`, …). A model served by
-    /// multiple shards has no single engine and reports
-    /// [`SplashError::ShardedModel`]; use
-    /// [`SplashService::sharded_model`] for those. An external engine has
-    /// no [`StreamingPredictor`] at all and reports
-    /// [`SplashError::InvalidConfig`].
+    /// Direct (read-only) access to a registered SPLASH engine, at any
+    /// shard count — the escape hatch for callers that need core APIs the
+    /// façade does not wrap (representations, `predict_many`, per-shard
+    /// stats, …). An external engine has no [`StreamingPredictor`] at all
+    /// and reports [`SplashError::InvalidConfig`].
     pub fn model(&self, name: &str) -> Result<&StreamingPredictor, SplashError> {
-        let entry = self.entry(name)?;
-        match &entry.engine {
-            Engine::Single(p) => Ok(p.as_ref()),
-            Engine::Sharded(s) => Err(SplashError::ShardedModel {
-                name: name.to_string(),
-                shards: s.num_shards(),
-            }),
+        match &self.entry(name)?.engine {
+            Engine::Splash(p) => Ok(p),
             Engine::External(e) => Err(SplashError::InvalidConfig {
                 what: format!(
                     "model {name:?} is served by an external engine ({:?}); direct \
@@ -1000,28 +917,21 @@ impl SplashService {
         }
     }
 
-    /// Direct (read-only) access to a registered sharded engine (per-shard
-    /// stats, shard inspection). A single-engine or external model reports
-    /// [`SplashError::ShardedModel`] with `shards: 1`.
-    pub fn sharded_model(&self, name: &str) -> Result<&ShardedPredictor, SplashError> {
-        let entry = self.entry(name)?;
-        match &entry.engine {
-            Engine::Sharded(s) => Ok(s.as_ref()),
-            Engine::Single(_) | Engine::External(_) => Err(SplashError::ShardedModel {
-                name: name.to_string(),
-                shards: 1,
-            }),
-        }
+    /// The same engine as [`SplashService::model`]. Kept only because the
+    /// repo benchmark (`splashbench`) calls it; the next change to the
+    /// benchmark switches it to `model` and deletes this.
+    pub fn sharded_model(&self, name: &str) -> Result<&StreamingPredictor, SplashError> {
+        self.model(name)
     }
 
-    /// Per-shard serving counters of the named model: one
-    /// [`ShardStats`] row per shard for a sharded engine, an empty vector
-    /// for a single-engine or external model (whose counters are the
+    /// Per-shard serving counters of the named model: one [`ShardStats`]
+    /// row per ring partition of a SPLASH engine (one at `shards == 1`),
+    /// an empty vector for an external engine (whose counters are the
     /// service-level [`ServiceStats`]).
     pub fn shard_stats(&self, name: &str) -> Result<Vec<ShardStats>, SplashError> {
         match &self.entry(name)?.engine {
-            Engine::Sharded(s) => Ok(s.shard_stats()),
-            Engine::Single(_) | Engine::External(_) => Ok(Vec::new()),
+            Engine::Splash(p) => Ok(p.shard_stats()),
+            Engine::External(_) => Ok(Vec::new()),
         }
     }
 
@@ -1209,8 +1119,7 @@ impl SplashService {
 
     /// Runs one bounded tune round on the named model's continual learner
     /// and atomically publishes the updated weights into its serving
-    /// engine(s) — all shards of a sharded model, which share weights, in
-    /// one publish. An empty replay buffer is a cheap no-op (0 steps, but
+    /// engine (held once, whatever the shard count). An empty replay buffer is a cheap no-op (0 steps, but
     /// the publish still happens, making `fine_tune` idempotent).
     pub fn fine_tune(&mut self, name: &str) -> Result<FineTuneReport, SplashError> {
         let idx = self.index(name)?;
@@ -1236,7 +1145,7 @@ impl SplashService {
     }
 
     /// Publishes the named model's trainer weights into its serving
-    /// engine(s) without running any steps — for callers that want to
+    /// engine without running any steps — for callers that want to
     /// decouple tuning cadence from publication cadence.
     pub fn publish(&mut self, name: &str) -> Result<(), SplashError> {
         let idx = self.index(name)?;
@@ -1326,9 +1235,8 @@ impl SplashService {
     /// [`SplashService::predict_batch`] into a caller-owned matrix — the
     /// zero-allocation batched serving path (buffers reused across calls),
     /// bit-identical to the allocating form. Takes `&mut self` because on
-    /// a sharded model this is the scatter–gather path that may fan the
-    /// per-shard forwards out thread-per-shard (see
-    /// [`ShardedPredictor::try_predict_batch_into`]). Errors as
+    /// a sharded model the per-shard forwards may fan out thread-per-shard
+    /// (see [`StreamingPredictor::try_predict_batch_into`]). Errors as
     /// [`SplashService::predict_batch`] reports them.
     pub fn predict_batch_into(
         &mut self,
@@ -1471,15 +1379,8 @@ impl SplashService {
         let opt = saved.opt.take();
         let state =
             crate::stream::assemble_stream_state(recovered.witness, recovered.ring_shards)?;
-        let engine = if self.shards == 1 {
-            Engine::Single(Box::new(StreamingPredictor::try_from_saved_state(saved, state)?))
-        } else {
-            Engine::Sharded(Box::new(ShardedPredictor::try_from_saved_state(
-                saved,
-                state,
-                self.shards,
-            )?))
-        };
+        let predictor =
+            StreamingPredictor::try_from_saved_state(saved, state)?.reshard(self.shards)?;
         let trainer = match (&self.online, recovered.trainer) {
             (None, None) => None,
             (None, Some(_)) => {
@@ -1497,15 +1398,13 @@ impl SplashService {
                 });
             }
             (Some(ocfg), Some(state)) => {
-                let model = engine
-                    .model_clone()
-                    .expect("recovery constructs only SPLASH engines, which carry SLIM weights");
+                let model = predictor.model().clone();
                 let mut trainer = OnlineTrainer::resume(*ocfg, model, state.task, opt.as_ref())?;
                 trainer.restore_durable_state(state)?;
                 Some(trainer)
             }
         };
-        let idx = self.install(name, engine, trainer);
+        let idx = self.install(name, Engine::Splash(Box::new(predictor)), trainer);
 
         let counters = recovered.counters;
         self.tel.edges_ingested.set(counters.edges_ingested);
@@ -1585,9 +1484,10 @@ impl SplashService {
                 return Err(SplashError::CheckpointUnflushed { buffered });
             }
         }
+        let engine = engine.splash_mut("checkpointed")?;
         let opt = trainer.as_mut().map(|t| t.checkpoint());
-        let model_bytes = engine.model_bytes(opt.as_ref())?;
-        let (witness, ring_shards) = engine.durable_stream_state()?;
+        let model_bytes = engine.artifact_bytes(opt.as_ref(), None)?;
+        let (witness, ring_shards) = (engine.durable_witness(), engine.durable_ring_shards());
         let trainer_state = trainer.as_ref().map(|t| t.durable_state());
         Ok(CheckpointData { model_bytes, witness, ring_shards, counters, trainer: trainer_state })
     }
@@ -1676,7 +1576,7 @@ impl SplashService {
     }
 
     /// (Re-)exposes one entry's per-model series in the shared registry —
-    /// per-shard ingest/query counters for sharded engines, the online
+    /// a SPLASH engine's witness and per-shard counters, the online
     /// replay-buffer fill gauge — and refreshes the registry-shape gauges.
     /// Hot-swap safe: stale series under the same model label are dropped
     /// first, so a model re-installed at a different shard count does not
@@ -1685,8 +1585,8 @@ impl SplashService {
         let needle = format!("model=\"{}\"", escape_label_value(&self.models[idx].name));
         self.tel.registry().remove_series_with_label(&needle);
         let entry = &mut self.models[idx];
-        if let Engine::Sharded(s) = &entry.engine {
-            s.register_telemetry(self.tel.registry(), &entry.name);
+        if let Engine::Splash(p) = &entry.engine {
+            p.register_telemetry(self.tel.registry(), &entry.name);
         }
         if let Some(trainer) = entry.trainer.as_mut() {
             let gauge = Gauge::new();

@@ -5,22 +5,41 @@
 //! at a time, each label query must be answered *immediately* from state
 //! maintained so far, and the state must stay sub-linear in the number of
 //! edges. [`StreamingPredictor`] packages a trained SLIM model with exactly
-//! that state — the feature [`Augmenter`] (fixed seen-node features,
-//! propagated unseen-node features, incremental degrees) and a per-node ring
-//! of the `k` most recent incident edges with feature snapshots.
+//! that state, in two parts:
 //!
-//! The *witness* half of that state — the augmenter plus the stream clock —
-//! is a global, single-writer function of the edge stream, factored into
-//! its own `WitnessState` component: a standalone predictor owns one, while
-//! the ring partitions inside a [`crate::shard::ShardedPredictor`] stay
-//! witness-less — the engine's single shared witness either writes their
-//! ring slots directly (serial ingest) or hands them pre-materialized
-//! `EdgeSnapshot`s (thread-parallel ingest), so per-shard ingest work is
-//! O(owned endpoints), not O(edges).
+//! * the *witness* — the feature [`Augmenter`] (fixed seen-node features,
+//!   propagated unseen-node features, incremental degrees) plus the stream
+//!   clock. Degree encodings and propagated features are global functions
+//!   of the whole stream (the paper's core observation), so the engine
+//!   holds exactly one witness, updated once per edge in stream order;
+//! * the per-node *rings* of the `k` most recent incident edges with
+//!   feature snapshots (Eq. 14), hash-partitioned ([`crate::shard::shard_of`])
+//!   across `N ≥ 1` ring partitions. `N = 1` is the plain single engine;
+//!   [`StreamingPredictor::reshard`] moves every ring to its owner at any
+//!   other `N`.
 //!
-//! Predictions are bit-identical to the batch pipeline's (verified by the
-//! `streaming_matches_batch_pipeline` test): both paths snapshot neighbor
-//! features at edge-arrival time, as Eq. 14 requires.
+//! # One witness, N ring partitions — and why every N gives the same bits
+//!
+//! Each ring entry stores the **neighbor's** feature as of edge-arrival
+//! time, read from the one witness right after it observes the edge. What
+//! a partition writes into a ring slot — directly from the augmenter
+//! (serial ingest) or from a materialized `EdgeSnapshot` (thread-parallel
+//! ingest) — is therefore byte-for-byte what one unpartitioned table would
+//! hold; rings fill in the same edge order; and a query reads the witness
+//! for its target feature and its owner partition's ring for neighbors.
+//! Each logit row depends only on its own query, so splitting a batch
+//! across partitions and threads never changes a bit. Predictions are
+//! bit-identical at every `N` (the `sharded_matches_unsharded_*`
+//! proptests) and to the batch pipeline (`streaming_matches_batch_pipeline`).
+//!
+//! The cost model: the witness pass is the serial prefix of ingest — one
+//! tracker update plus one feature materialization per endpoint, paid once
+//! whatever `N` is — and the ring writes are O(edges owned) per partition.
+//! With the `parallel` feature, more than one partition and more than one
+//! available thread, ingest materializes snapshots that one thread per
+//! partition consumes, and a batched predict answers each partition's
+//! queries on its own thread. The weights are held once, so a publish
+//! copies them once at any `N`.
 
 use std::cell::RefCell;
 
@@ -29,24 +48,20 @@ use datasets::Dataset;
 use nn::{Matrix, Workspace};
 
 use crate::augment::{Augmenter, FeatureProcess};
-use crate::capture::{capture, seen_end_time, CapturedNeighbor, CapturedQuery, InputFeatures};
+use crate::capture::{
+    capture, seen_end_time, CapturedNeighbor, CapturedQuery, InputFeatures, Ring, Rings,
+};
 use crate::config::SplashConfig;
 use crate::error::SplashError;
 use crate::pipeline::{split_bounds, train_slim, SEEN_FRAC};
 use crate::select::select_features;
+use crate::shard::{shard_of, ShardStats};
 use crate::slim::{SlimBatch, SlimModel};
 use crate::task::output_dim;
+use crate::telemetry::{escape_label_value, Counter, Registry};
 
-/// Chunk size [`StreamingPredictor::try_predict_batch`] hands to the
-/// (chunk-parallel) batched forward pass.
+/// Chunk size of the batched forward passes.
 const STREAM_BATCH: usize = 256;
-
-/// A ring of the `k` most recent incident edges, with feature snapshots.
-#[derive(Debug, Clone, Default)]
-struct Ring {
-    entries: Vec<CapturedNeighbor>,
-    head: usize,
-}
 
 /// One node's ring as a durable checkpoint sees it: the owning node id, the
 /// overwrite cursor, and the captured entries in *storage* order (the
@@ -90,11 +105,11 @@ pub(crate) fn check_edge_width(edge: &TemporalEdge, expected: usize) -> Result<(
     }
 }
 
-/// Reassembles one unsharded [`StreamState`] from a recovered witness
-/// snapshot plus the per-shard ring partitions: the single witness carries
-/// the augmenter/clock, and the ring union restores every node's ring.
-/// Rejects duplicate ring ownership — a shard set spliced together from
-/// two different checkpoints.
+/// Reassembles one [`StreamState`] from a recovered witness snapshot plus
+/// the per-partition ring files: the single witness carries the
+/// augmenter/clock, and the ring union restores every node's ring.
+/// Rejects duplicate ring ownership — a partition set spliced together
+/// from two different checkpoints.
 pub(crate) fn assemble_stream_state(
     witness: WitnessSnapshot,
     ring_shards: Vec<Vec<RingState>>,
@@ -120,7 +135,7 @@ pub(crate) fn assemble_stream_state(
 /// and every ring entry must be exactly as wide as the model's node- and
 /// edge-feature inputs (a wider entry would overrun the input row).
 /// Mismatches report [`SplashError::CorruptModel`].
-pub(crate) fn check_stream_state(
+fn check_stream_state(
     state: &StreamState,
     cfg: &SplashConfig,
     feat_dim: usize,
@@ -164,37 +179,63 @@ pub(crate) fn check_stream_state(
     Ok(())
 }
 
+/// Whether an `n`-partition call fans out one thread per partition: only
+/// with the `parallel` feature, more than one partition and more than one
+/// available thread, and not under `nn::backend::with_serial_backend`
+/// (`NN_THREADS=1` pins the serial path too).
+#[cfg(feature = "parallel")]
+fn fans_out(n: usize) -> bool {
+    n > 1 && nn::backend::num_threads() > 1 && !nn::backend::serial_pinned()
+}
+
+/// Without the `parallel` feature every call is serial.
+#[cfg(not(feature = "parallel"))]
+fn fans_out(_n: usize) -> bool {
+    false
+}
+
 /// The global *witness* state of an edge stream: the feature [`Augmenter`]
-/// plus the stream clock. Degree encodings and propagated features are
-/// global functions of the whole stream (the paper's core observation), so
-/// there is exactly one writer of this state per logical model — a
-/// standalone [`StreamingPredictor`] owns one, a
-/// [`crate::shard::ShardedPredictor`] owns one shared by all of its ring
-/// partitions.
-#[derive(Debug, Clone)]
-pub(crate) struct WitnessState {
+/// plus the stream clock, one per engine whatever its partition count.
+#[derive(Debug)]
+struct WitnessState {
     /// Feature tracker (seen tables, propagated features, degrees).
-    pub augmenter: Augmenter,
+    augmenter: Augmenter,
     /// Arrival time of the most recently observed edge.
-    pub last_time: f64,
+    last_time: f64,
+    /// Edges observed since the engine was built (each exactly once).
+    edges: Counter,
+}
+
+impl Clone for WitnessState {
+    /// A clone gets a **detached** copy of the edge counter: counter
+    /// handles share their atomic, so a derived clone would leave two
+    /// engines counting into one registry series.
+    fn clone(&self) -> Self {
+        Self {
+            augmenter: self.augmenter.clone(),
+            last_time: self.last_time,
+            edges: self.edges.detached_copy(),
+        }
+    }
 }
 
 impl WitnessState {
+    fn new(augmenter: Augmenter, last_time: f64) -> Self {
+        Self { augmenter, last_time, edges: Counter::new() }
+    }
+
     /// Witnesses one edge: updates the tracker and the stream clock, and
     /// materializes everything a ring partition needs — the post-update
-    /// endpoint feature snapshots, the edge payload, and the precomputed
-    /// ring owners under an `shards`-way partition — into the reusable
-    /// `snap` buffer. One call per edge per *batch*, shared by every
-    /// shard; the snapshot buffers are reused across batches, so
-    /// steady-state witnessing is allocation-free. Only the
-    /// thread-parallel ingest path materializes snapshots (serial ingest
-    /// writes ring slots directly), so this is unused without `parallel`.
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
-    pub fn observe_into(
+    /// endpoint feature snapshots, the edge payload, and the ring owners
+    /// under an `n`-way partition — into the reusable `snap` buffer. Only
+    /// the thread-parallel ingest path materializes snapshots (serial
+    /// ingest writes ring slots directly); the snapshot buffers are reused
+    /// across batches, so steady-state witnessing is allocation-free.
+    fn observe_into(
         &mut self,
         edge: &TemporalEdge,
         process: FeatureProcess,
-        shards: usize,
+        n: usize,
         snap: &mut EdgeSnapshot,
     ) {
         self.augmenter.observe(edge);
@@ -211,46 +252,39 @@ impl WitnessState {
         snap.edge_feat.extend_from_slice(&edge.feat);
         snap.time = edge.time;
         snap.weight = edge.weight;
-        snap.owner_src = crate::shard::shard_of(edge.src, shards);
-        snap.owner_dst = crate::shard::shard_of(edge.dst, shards);
+        snap.owner_src = shard_of(edge.src, n);
+        snap.owner_dst = shard_of(edge.dst, n);
         self.last_time = edge.time;
     }
 }
 
 /// Everything one witnessed edge contributes to the ring partitions,
-/// materialized once by `WitnessState::observe_into` and consumed by
-/// `StreamingPredictor::apply_snapshots` on each shard. Plain owned data
-/// (no references into the witness), so a batch of snapshots can be read
-/// by every shard thread concurrently. Serial ingest bypasses snapshots
-/// entirely (`StreamingPredictor::remember_side`), so the fields are only
-/// read with the `parallel` feature.
+/// materialized once by `WitnessState::observe_into` and consumed by the
+/// owner partitions' threads. Plain owned data (no references into the
+/// witness), so a batch of snapshots can be read by every partition thread
+/// concurrently.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(not(feature = "parallel"), allow(dead_code))]
-pub(crate) struct EdgeSnapshot {
-    /// Source endpoint.
-    pub src: NodeId,
-    /// Destination endpoint.
-    pub dst: NodeId,
+struct EdgeSnapshot {
+    src: NodeId,
+    dst: NodeId,
     /// `src`'s post-observe features (what the dst ring snapshots); left
     /// stale on self-loops, which never read it.
-    pub src_feat: Vec<f32>,
+    src_feat: Vec<f32>,
     /// `dst`'s post-observe features (what the src ring snapshots).
-    pub dst_feat: Vec<f32>,
-    /// The edge's own feature payload.
-    pub edge_feat: Vec<f32>,
-    /// Edge arrival time.
-    pub time: f64,
-    /// Edge weight.
-    pub weight: f32,
-    /// Ring owner of `src` under the batch's shard count.
-    pub owner_src: usize,
-    /// Ring owner of `dst` under the batch's shard count.
-    pub owner_dst: usize,
+    dst_feat: Vec<f32>,
+    edge_feat: Vec<f32>,
+    time: f64,
+    weight: f32,
+    /// Ring owner of `src` under the batch's partition count.
+    owner_src: usize,
+    /// Ring owner of `dst` under the batch's partition count.
+    owner_dst: usize,
 }
 
 /// The witness half of a durable checkpoint: augmenter state, ring
 /// capacity, and the stream clock — written once per checkpoint regardless
-/// of the shard count (the rings travel separately, one file per shard).
+/// of the partition count (the rings travel separately, one file per
+/// partition).
 #[derive(Debug, Clone)]
 pub(crate) struct WitnessSnapshot {
     /// Feature-augmentation state (seen tables, propagated features, degrees).
@@ -263,8 +297,8 @@ pub(crate) struct WitnessSnapshot {
 
 /// Reusable buffers for steady-state query answering: assembled query
 /// inputs, the packed batch, the model's workspace, and the logits buffer.
-/// Warmed up by the first few predictions, then reused verbatim, so
-/// [`StreamingPredictor::try_predict_into`] stays off the allocator.
+/// Warmed up by the first few predictions, then reused verbatim, so the
+/// `*_into` predict paths stay off the allocator.
 #[derive(Debug, Clone, Default)]
 struct PredictScratch {
     query: CapturedQuery,
@@ -278,32 +312,205 @@ struct PredictScratch {
     logits: Matrix,
 }
 
+/// Per-partition counters, held as [`Counter`] handles (atomics) so
+/// predictions count through `&self` and an installed engine can expose
+/// the same cells as registry series on `/metrics`
+/// ([`StreamingPredictor::register_telemetry`]).
+#[derive(Debug, Default)]
+struct ShardCounters {
+    owned_edges: Counter,
+    queries: Counter,
+}
+
+impl Clone for ShardCounters {
+    /// A clone gets **detached** copies of the cells (see
+    /// [`WitnessState`]'s `Clone`).
+    fn clone(&self) -> Self {
+        Self {
+            owned_edges: self.owned_edges.detached_copy(),
+            queries: self.queries.detached_copy(),
+        }
+    }
+}
+
+/// One ring partition: the rings of the nodes [`shard_of`] assigns to it,
+/// its serving counters and its predict scratch, plus the buffers of the
+/// multi-partition paths.
+#[derive(Debug, Clone)]
+struct RingPartition {
+    rings: Rings,
+    counters: ShardCounters,
+    /// Interior-mutable so the `&self` prediction methods can reuse their
+    /// assembly buffers across calls. This makes the engine single-threaded
+    /// (`!Sync`) by design; clone one engine per worker for concurrent
+    /// serving (cloning isolates the scratch).
+    scratch: RefCell<PredictScratch>,
+    /// Indices of the batch's edges with an endpoint owned here (written
+    /// by every batched ingest; its length is the batch's owned-edge
+    /// count, and the threaded path applies exactly these snapshots).
+    route: Vec<u32>,
+    /// Thread-per-partition batched predict: this partition's queries, the
+    /// batch row each one answers, and their logits.
+    sub: Vec<PropertyQuery>,
+    index: Vec<usize>,
+    rows: Matrix,
+}
+
+impl RingPartition {
+    fn new(rings: Rings) -> Self {
+        Self {
+            rings,
+            counters: ShardCounters::default(),
+            scratch: RefCell::new(PredictScratch::default()),
+            route: Vec::new(),
+            sub: Vec::new(),
+            index: Vec::new(),
+            rows: Matrix::default(),
+        }
+    }
+
+    /// Writes `node`'s ring slot for `edge` (whose other endpoint is
+    /// `other`) straight from the just-updated witness augmenter: the
+    /// single-copy serial ingest path, no intermediate snapshot.
+    fn remember(
+        &mut self,
+        augmenter: &Augmenter,
+        process: FeatureProcess,
+        node: NodeId,
+        other: NodeId,
+        edge: &TemporalEdge,
+    ) {
+        let slot = self.rings.push_slot(node);
+        slot.set_edge(other, edge);
+        augmenter.feature_into(process, other, &mut slot.feat);
+    }
+
+    /// Writes the ring snapshots partition `p` owns out of a batch of
+    /// snapshots, visiting only the indices routed to it. The ring table
+    /// must already cover the batch's nodes. Slots copy the snapshot
+    /// buffers via `clone_from`, so steady-state application is
+    /// allocation-free, and the result is bit-identical to
+    /// [`RingPartition::remember`] over the same edges — the snapshots
+    /// *are* the post-observe features that path reads.
+    fn apply_snapshots(&mut self, snaps: &[EdgeSnapshot], p: usize) {
+        for &i in &self.route {
+            let s = &snaps[i as usize];
+            let mut write = |node, other, feat: &Vec<f32>| {
+                let slot = self.rings.push_slot(node);
+                slot.other = other;
+                slot.feat.clone_from(feat);
+                slot.edge_feat.clone_from(&s.edge_feat);
+                slot.time = s.time;
+                slot.weight = s.weight;
+            };
+            if s.owner_src == p {
+                write(s.src, s.dst, &s.dst_feat);
+            }
+            if s.owner_dst == p && s.src != s.dst {
+                write(s.dst, s.src, &s.src_feat);
+            }
+        }
+    }
+}
+
+/// What query answering reads besides the rings: the weights, the witness
+/// and the feature process. `Copy` and `Sync`, so every partition thread
+/// of a batched predict holds one.
+#[derive(Clone, Copy)]
+struct Reader<'a> {
+    model: &'a SlimModel,
+    witness: &'a WitnessState,
+    process: FeatureProcess,
+    out_dim: usize,
+}
+
+impl Reader<'_> {
+    /// Builds the model input for `node` as of time `time` into the reused
+    /// query buffer: the target feature vector and every neighbor slot keep
+    /// their allocations, and the ring is copied oldest first as (at most)
+    /// two contiguous slices.
+    fn query_input_into(
+        &self,
+        rings: &Rings,
+        node: NodeId,
+        time: f64,
+        q: &mut CapturedQuery,
+        spare: &mut Vec<CapturedNeighbor>,
+    ) {
+        q.node = node;
+        q.time = time;
+        // `q.label` is deliberately left as-is: predictions ignore labels,
+        // and the labeled-capture path overwrites it via `Label::clone_from`
+        // right after — resetting it here would drop a reusable affinity
+        // buffer and force an allocation per absorbed label.
+        self.witness.augmenter.feature_into(self.process, node, &mut q.target_feat);
+        let (older, newer) = rings.oldest_first(node);
+        // Shrink by parking surplus slots (keeping their buffers), grow by
+        // unparking; every slot is overwritten via `clone_from`, which
+        // reuses its feature allocations.
+        let n = older.len() + newer.len();
+        while q.neighbors.len() > n {
+            spare.push(q.neighbors.pop().expect("len checked"));
+        }
+        for (i, src) in older.iter().chain(newer).enumerate() {
+            match q.neighbors.get_mut(i) {
+                Some(slot) => slot.clone_from(src),
+                None => {
+                    let mut slot = spare.pop().unwrap_or_default();
+                    slot.clone_from(src);
+                    q.neighbors.push(slot);
+                }
+            }
+        }
+    }
+
+    /// Answers `queries` into `out` (row `i` for `queries[i]`), in
+    /// [`STREAM_BATCH`]-query chunks through `s`; `rings(v)` is the ring
+    /// table holding node `v`.
+    fn predict_rows<'r>(
+        &self,
+        rings: impl Fn(NodeId) -> &'r Rings,
+        s: &mut PredictScratch,
+        queries: &[PropertyQuery],
+        out: &mut Matrix,
+    ) {
+        out.resize_zeroed(queries.len(), self.out_dim);
+        for (c, chunk) in queries.chunks(STREAM_BATCH).enumerate() {
+            if s.queries.len() < chunk.len() {
+                s.queries.resize_with(chunk.len(), CapturedQuery::default);
+            }
+            for (dst, q) in s.queries.iter_mut().zip(chunk) {
+                self.query_input_into(rings(q.node), q.node, q.time, dst, &mut s.spare);
+            }
+            self.model.build_batch_into(&s.queries[..chunk.len()], &mut s.batch);
+            self.model.infer_into(&s.batch, &mut s.logits, &mut s.ws);
+            for i in 0..chunk.len() {
+                out.row_mut(c * STREAM_BATCH + i).copy_from_slice(s.logits.row(i));
+            }
+        }
+    }
+}
+
 /// A trained SPLASH model plus all streaming state, ready to consume a live
-/// edge stream and answer label queries in real time.
+/// edge stream and answer label queries in real time: one [`SlimModel`],
+/// one witness, and `N ≥ 1` ring partitions (see the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct StreamingPredictor {
     model: SlimModel,
-    /// The global witness state. `Some` for a predictor that owns its
-    /// stream (the standalone case); `None` for a ring-partition member
-    /// inside a [`crate::shard::ShardedPredictor`], which reads the
-    /// engine's single shared witness instead of carrying a copy.
-    witness: Option<WitnessState>,
+    witness: WitnessState,
     process: FeatureProcess,
-    rings: Vec<Ring>,
-    k: usize,
     /// The full training config, kept so the predictor can persist itself
     /// ([`StreamingPredictor::save`]) without the caller re-supplying it.
     cfg: SplashConfig,
     feat_dim: usize,
     edge_feat_dim: usize,
     out_dim: usize,
-    /// Interior-mutable so the `&self` prediction methods can reuse their
-    /// assembly buffers across calls. This makes the predictor
-    /// single-threaded (`!Sync`) by design; for concurrent serving, clone
-    /// one predictor per worker (cloning isolates the scratch) or use
-    /// [`StreamingPredictor::try_predict_batch`], which parallelizes over
-    /// query chunks internally.
-    scratch: RefCell<PredictScratch>,
+    /// The ring partitions; never empty.
+    parts: Vec<RingPartition>,
+    /// The snapshot batch the thread-parallel witness pass materializes
+    /// and the partition threads consume; grown to the high-water batch
+    /// size, then reused allocation-free.
+    snaps: Vec<EdgeSnapshot>,
 }
 
 impl StreamingPredictor {
@@ -338,34 +545,38 @@ impl StreamingPredictor {
             cfg.degree_alpha,
             cfg.seed,
         );
-        let mut predictor = Self {
+        // Prime the neighbor rings with the seen-period edges. The
+        // augmenter already observed them in `Augmenter::with_source`, so
+        // only the rings are updated here.
+        let mut part = RingPartition::new(Rings::new(cfg.k));
+        let mut last_time = f64::NEG_INFINITY;
+        for edge in &dataset.stream.edges()[..prefix] {
+            part.remember(&augmenter, process, edge.src, edge.dst, edge);
+            if edge.src != edge.dst {
+                part.remember(&augmenter, process, edge.dst, edge.src, edge);
+            }
+            last_time = edge.time;
+        }
+        Self {
             model,
-            witness: Some(WitnessState { augmenter, last_time: f64::NEG_INFINITY }),
+            witness: WitnessState::new(augmenter, last_time),
             process,
-            rings: Vec::new(),
-            k: cfg.k,
             cfg: *cfg,
             feat_dim: cap.feat_dim,
             edge_feat_dim: cap.edge_feat_dim,
             out_dim: output_dim(dataset.task, dataset.num_classes),
-            scratch: RefCell::new(PredictScratch::default()),
-        };
-        // Prime the neighbor rings with the seen-period edges. The
-        // augmenter already observed them in `Augmenter::new`, so only the
-        // rings are updated here.
-        let w = predictor.witness.as_mut().expect("just constructed with an owned witness");
-        for edge in &dataset.stream.edges()[..prefix] {
-            Self::remember(&mut predictor.rings, cfg.k, &w.augmenter, process, edge);
-            w.last_time = edge.time;
+            parts: vec![part],
+            snaps: Vec::new(),
         }
-        predictor
     }
 
     /// Rebuilds the predictor that saved an artifact restored with
-    /// [`crate::persist::load_model`]: the artifact's witness and rings are
-    /// decoded, not recomputed, so the result is bit-identical to the
-    /// saving engine at save time (a checkpoint without a WAL), at O(state)
-    /// cost — no positional embedding, no prefix replay.
+    /// [`crate::persist::load_model`], with one ring partition: the
+    /// artifact's witness and rings are decoded, not recomputed, so the
+    /// result is bit-identical to the saving engine at save time (a
+    /// checkpoint without a WAL), at O(state) cost — no positional
+    /// embedding, no prefix replay. [`StreamingPredictor::reshard`] serves
+    /// it at any other partition count.
     ///
     /// `_dataset` is not read: the artifact is self-contained. The
     /// argument stays for callers that pass the deployment's dataset.
@@ -389,32 +600,8 @@ impl StreamingPredictor {
         Self::try_from_saved_state(saved, state)
     }
 
-    /// Clones the witness half of the streaming state a durable checkpoint
-    /// must persist on top of the saved model: augmenter state, ring
-    /// capacity, and the stream clock. Requires an owned witness (a shard
-    /// member's witness lives on its `ShardedPredictor`).
-    pub(crate) fn durable_witness(&self) -> WitnessSnapshot {
-        let w = self.witness();
-        WitnessSnapshot { augmenter: w.augmenter.durable_state(), k: self.k, last_time: w.last_time }
-    }
-
-    /// Clones this predictor's non-empty rings (in storage order, with
-    /// cursors) — the partition half of a durable checkpoint.
-    pub(crate) fn durable_rings(&self) -> Vec<RingState> {
-        self.rings
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.entries.is_empty())
-            .map(|(i, r)| RingState {
-                node: i as NodeId,
-                head: r.head,
-                entries: r.entries.clone(),
-            })
-            .collect()
-    }
-
-    /// Rebuilds a predictor from a restored model *plus* a decoded
-    /// [`StreamState`] — the restore path of artifacts and durable
+    /// Rebuilds a one-partition predictor from a restored model *plus* a
+    /// decoded [`StreamState`] — the restore path of artifacts and durable
     /// checkpoints alike. It neither rebuilds the positional embedding nor
     /// replays any stream: the cost is O(state), independent of the stream
     /// length, and the result is bit-identical to the predictor that
@@ -429,37 +616,93 @@ impl StreamingPredictor {
         };
         let cfg = saved.cfg;
         check_stream_state(&state, &cfg, saved.feat_dim, saved.edge_feat_dim)?;
-        let mut predictor = Self {
+        let mut rings = Rings::new(cfg.k);
+        for ring in state.rings {
+            let mut entries = ring.entries;
+            // Keep the one-allocation-per-ring discipline: a partially
+            // filled restored ring must not regrow through doubling.
+            entries.reserve_exact(cfg.k - entries.len());
+            rings.insert(ring.node, Ring { entries, head: ring.head });
+        }
+        Ok(Self {
             model: saved.model,
-            witness: Some(WitnessState {
-                augmenter: Augmenter::from_durable_state(state.augmenter, cfg.degree_alpha),
-                last_time: state.last_time,
-            }),
+            witness: WitnessState::new(
+                Augmenter::from_durable_state(state.augmenter, cfg.degree_alpha),
+                state.last_time,
+            ),
             process,
-            rings: Vec::new(),
-            k: cfg.k,
             cfg,
             feat_dim: saved.feat_dim,
             edge_feat_dim: saved.edge_feat_dim,
             out_dim: saved.out_dim,
-            scratch: RefCell::new(PredictScratch::default()),
-        };
-        for ring in state.rings {
-            Self::grow_rings(&mut predictor.rings, ring.node);
-            let slot = &mut predictor.rings[ring.node as usize];
-            slot.head = ring.head;
-            slot.entries = ring.entries;
-            // Keep the one-allocation-per-ring discipline: a partially
-            // filled restored ring must not regrow through doubling.
-            slot.entries.reserve_exact(predictor.k - slot.entries.len());
+            parts: vec![RingPartition::new(rings)],
+            snaps: Vec::new(),
+        })
+    }
+
+    /// Serves this engine from `shards` ring partitions: every ring moves
+    /// (not copies) to its [`shard_of`] owner, from any current count.
+    /// Predictions are bit-identical at every count (see the module docs).
+    /// The witness and its edge counter carry over; the per-partition
+    /// counters start at zero unless the count is unchanged, which returns
+    /// the engine as it is. `shards` must be positive
+    /// ([`SplashError::InvalidConfig`] otherwise).
+    pub fn reshard(mut self, shards: usize) -> Result<Self, SplashError> {
+        if shards == 0 {
+            return Err(SplashError::InvalidConfig {
+                what: "shard count must be positive".into(),
+            });
         }
-        Ok(predictor)
+        if shards == self.parts.len() {
+            return Ok(self);
+        }
+        let mut parts: Vec<RingPartition> =
+            (0..shards).map(|_| RingPartition::new(Rings::new(self.cfg.k))).collect();
+        for part in &mut self.parts {
+            for (node, ring) in part.rings.drain() {
+                parts[shard_of(node, shards)].rings.insert(node, ring);
+            }
+        }
+        self.parts = parts;
+        Ok(self)
+    }
+
+    /// The witness half of a durable checkpoint: augmenter state, ring
+    /// capacity, and the stream clock.
+    pub(crate) fn durable_witness(&self) -> WitnessSnapshot {
+        WitnessSnapshot {
+            augmenter: self.witness.augmenter.durable_state(),
+            k: self.cfg.k,
+            last_time: self.witness.last_time,
+        }
+    }
+
+    /// The ring half of a durable checkpoint: element `i` is partition
+    /// `i`'s non-empty rings, in node order, in storage order with cursors.
+    pub(crate) fn durable_ring_shards(&self) -> Vec<Vec<RingState>> {
+        self.parts
+            .iter()
+            .map(|p| {
+                p.rings
+                    .iter()
+                    .map(|(node, r)| RingState { node, head: r.head, entries: r.entries.clone() })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Every non-empty ring across the partitions, in node order — the
+    /// ring section of an artifact, the same at every partition count.
+    pub(crate) fn durable_rings(&self) -> Vec<RingState> {
+        let mut rings: Vec<RingState> = self.durable_ring_shards().into_iter().flatten().collect();
+        rings.sort_unstable_by_key(|r| r.node);
+        rings
     }
 
     /// Persists this predictor to `path` as a self-contained artifact:
-    /// weights plus its streaming state (witness and rings), restored as
-    /// it is now by [`StreamingPredictor::try_from_saved`] or, at any shard
-    /// count, [`crate::shard::ShardedPredictor::try_load`].
+    /// weights plus its streaming state (witness and every ring, merged in
+    /// node order — the same bytes at any partition count), restored as it
+    /// is now by [`StreamingPredictor::try_from_saved`].
     ///
     /// `&mut self` only because parameter access goes through
     /// `Parameterized::params_mut`; no value changes.
@@ -484,8 +727,7 @@ impl StreamingPredictor {
     /// This predictor's weights (and optional `SAVEDOPT` section) as an
     /// artifact in memory, with `state` as its streaming-state sections —
     /// the durable checkpoint passes `None` (its witness and rings travel
-    /// in their own files), a sharded save passes the engine's witness and
-    /// merged rings.
+    /// in their own files).
     pub(crate) fn artifact_bytes(
         &mut self,
         opt: Option<&crate::slim::AdamState>,
@@ -510,10 +752,10 @@ impl StreamingPredictor {
     }
 
     /// Atomically replaces the served weights with `src`'s (same
-    /// architecture; allocation-free). The weight-publish half of online
-    /// continual learning: streaming state (rings, augmenter, clock) is
-    /// untouched, so the very next query runs the new weights over exactly
-    /// the state the old weights saw.
+    /// architecture; allocation-free), once at any partition count. The
+    /// weight-publish half of online continual learning: streaming state
+    /// (rings, augmenter, clock) is untouched, so the very next query runs
+    /// the new weights over exactly the state the old weights saw.
     pub(crate) fn set_model_weights(&mut self, src: &SlimModel) {
         self.model.copy_weights_from(src);
     }
@@ -525,33 +767,13 @@ impl StreamingPredictor {
 
     /// Arrival time of the most recently observed edge.
     pub fn last_time(&self) -> f64 {
-        self.witness().last_time
+        self.witness.last_time
     }
 
     /// Number of node ids with allocated state (training universe plus
     /// everything ingested since); valid ids are `0..known_nodes()`.
     pub fn known_nodes(&self) -> usize {
-        self.witness().augmenter.known_nodes()
-    }
-
-    /// The owned witness view every public query/ingest method reads.
-    ///
-    /// Panics on a detached shard member — by construction only
-    /// [`crate::shard::ShardedPredictor`] holds witness-less predictors,
-    /// and it routes every call through its shared witness via the
-    /// `*_with` variants instead.
-    fn witness(&self) -> &WitnessState {
-        self.witness
-            .as_ref()
-            .expect("detached shard member: route through the ShardedPredictor")
-    }
-
-    /// Takes ownership of this predictor's witness state, leaving it a
-    /// witness-less ring partition. Used once by
-    /// [`crate::shard::ShardedPredictor`] construction: the base
-    /// predictor's witness becomes the engine's single shared witness.
-    pub(crate) fn detach_witness(&mut self) -> WitnessState {
-        self.witness.take().expect("witness already detached")
+        self.witness.augmenter.known_nodes()
     }
 
     /// Output (logit) width of the model: one column per class.
@@ -570,122 +792,114 @@ impl StreamingPredictor {
         &self.cfg
     }
 
-    /// Grows the ring table to cover `node` (a free function over the
-    /// `rings` field so callers can keep borrowing the augmenter).
-    fn grow_rings(rings: &mut Vec<Ring>, node: NodeId) {
-        let need = node as usize + 1;
-        if rings.len() < need {
-            rings.resize_with(need, Ring::default);
+    /// Number of ring partitions (shards) serving this predictor.
+    pub fn num_shards(&self) -> usize {
+        self.parts.len()
+    }
+
+    /// Per-partition serving counters, in partition order (one row at
+    /// `N = 1`).
+    pub fn shard_stats(&self) -> Vec<ShardStats> {
+        self.parts
+            .iter()
+            .enumerate()
+            .map(|(shard, p)| ShardStats {
+                shard,
+                owned_nodes: p.rings.iter().count(),
+                owned_edges: p.counters.owned_edges.get(),
+                queries_served: p.counters.queries.get(),
+            })
+            .collect()
+    }
+
+    /// Edges the witness has observed since the engine was built — each
+    /// exactly once, whatever the partition count.
+    pub fn witnessed_edges(&self) -> u64 {
+        self.witness.edges.get()
+    }
+
+    /// Exposes the engine's counters as labelled series in `registry`: the
+    /// global `splash_witness_edges_total{model="..."}` (one witness, one
+    /// series) plus per-partition
+    /// `splash_shard_edges_owned_total{model="...",shard="N"}` and
+    /// `splash_shard_queries_total{model="...",shard="N"}`. The handles
+    /// share the engine's own cells — counting on the serving path stays a
+    /// plain atomic add; registration (at install time) is the only step
+    /// that allocates.
+    pub(crate) fn register_telemetry(&self, registry: &Registry, model: &str) {
+        let model = escape_label_value(model);
+        registry.register_counter(
+            "splash_witness_edges_total",
+            &format!("model=\"{model}\""),
+            "Edges observed by the engine's single shared witness (feature tracker).",
+            &self.witness.edges,
+        );
+        for (shard, p) in self.parts.iter().enumerate() {
+            let labels = format!("model=\"{model}\",shard=\"{shard}\"");
+            registry.register_counter(
+                "splash_shard_edges_owned_total",
+                &labels,
+                "Edges whose ring snapshot was written on this shard (owner writes).",
+                &p.counters.owned_edges,
+            );
+            registry.register_counter(
+                "splash_shard_queries_total",
+                &labels,
+                "Queries answered by this shard (owner of the queried node).",
+                &p.counters.queries,
+            );
         }
     }
 
-    /// Pre-grows the ring table to cover `node`, so a following
-    /// [`StreamingPredictor::apply_snapshots`] never reallocates.
-    /// Unwritten entries stay default (empty) rings — invisible to
-    /// queries and to durable snapshots, which skip empty rings. Only
-    /// the thread-parallel ingest path pre-grows (serial ingest grows on
-    /// demand inside `push_slot`), so this is unused without `parallel`.
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
-    pub(crate) fn ensure_ring_capacity(&mut self, node: NodeId) {
-        Self::grow_rings(&mut self.rings, node);
-    }
-
-    /// Hands out the ring slot the next entry for `node` should overwrite,
-    /// growing the ring table only during warm-up.
-    fn push_slot(rings: &mut Vec<Ring>, k: usize, node: NodeId) -> &mut CapturedNeighbor {
-        Self::grow_rings(rings, node);
-        let ring = &mut rings[node as usize];
-        if ring.entries.len() < k {
-            if ring.entries.capacity() == 0 {
-                // One allocation per ring, ever: the ring can only hold k
-                // entries, so reserve them all on first touch instead of
-                // growing through the doubling sequence.
-                ring.entries.reserve_exact(k);
-            }
-            ring.entries.push(CapturedNeighbor::default());
-            ring.entries.last_mut().expect("just pushed")
-        } else {
-            let head = ring.head;
-            ring.head = (ring.head + 1) % k;
-            &mut ring.entries[head]
+    fn reader(&self) -> Reader<'_> {
+        Reader {
+            model: &self.model,
+            witness: &self.witness,
+            process: self.process,
+            out_dim: self.out_dim,
         }
     }
 
-    /// Fills one (reused) ring slot with the snapshot of `other` as seen
-    /// from the slot owner's side of `edge` — a free function over the
-    /// augmenter so the caller can keep its mutable borrow of the rings.
-    fn fill_slot(
-        augmenter: &Augmenter,
-        process: FeatureProcess,
-        slot: &mut CapturedNeighbor,
-        other: NodeId,
-        edge: &TemporalEdge,
-    ) {
-        slot.other = other;
-        augmenter.feature_into(process, other, &mut slot.feat);
-        slot.edge_feat.clear();
-        slot.edge_feat.extend_from_slice(&edge.feat);
-        slot.time = edge.time;
-        slot.weight = edge.weight;
+    /// The partition holding `node`'s ring.
+    fn part_of(&self, node: NodeId) -> &RingPartition {
+        &self.parts[shard_of(node, self.parts.len())]
     }
 
-    /// The *serial* sharded-ingest primitive: writes this engine's ring
-    /// slot for one side of `edge` directly from the (just-updated)
-    /// witness augmenter — the same single-copy path the unsharded
-    /// [`StreamingPredictor::try_push_edges`] takes, so serial routed
-    /// ingest materializes no intermediate snapshots at all. The
-    /// thread-parallel path goes through
-    /// [`StreamingPredictor::apply_snapshots`] instead (shard threads
-    /// cannot read the witness while it advances).
-    pub(crate) fn remember_side(
-        &mut self,
-        augmenter: &Augmenter,
-        process: FeatureProcess,
-        node: NodeId,
-        other: NodeId,
-        edge: &TemporalEdge,
-    ) {
-        let slot = Self::push_slot(&mut self.rings, self.k, node);
-        Self::fill_slot(augmenter, process, slot, other, edge);
-    }
-
-    /// Snapshots both endpoints' current features into the rings, writing
-    /// each snapshot directly into its (reused) ring slot — steady-state
-    /// edge ingestion touches the allocator only when a ring or the ring
-    /// table itself grows. An associated function over the ring fields so
-    /// callers can keep borrowing the witness they just updated.
-    fn remember(
-        rings: &mut Vec<Ring>,
-        k: usize,
-        augmenter: &Augmenter,
-        process: FeatureProcess,
-        edge: &TemporalEdge,
-    ) {
-        let slot = Self::push_slot(rings, k, edge.src);
-        Self::fill_slot(augmenter, process, slot, edge.dst, edge);
-        if edge.src != edge.dst {
-            let slot = Self::push_slot(rings, k, edge.dst);
-            Self::fill_slot(augmenter, process, slot, edge.src, edge);
+    fn check_time(&self, time: f64) -> Result<(), SplashError> {
+        let last = self.witness.last_time;
+        if time < last {
+            return Err(SplashError::PastQuery { got: time, last });
         }
+        Ok(())
     }
 
     /// Ingests one live temporal edge: O(d_v) feature propagation plus O(1)
-    /// ring updates — independent of the total stream length. Returns
-    /// [`SplashError::OutOfOrderEdge`] when the edge travels back in time
-    /// and [`SplashError::EdgeFeatureWidth`] when its feature vector does
-    /// not fit the model, leaving all state untouched either way.
+    /// ring updates on the owner partition(s) — independent of the total
+    /// stream length. Returns [`SplashError::OutOfOrderEdge`] when the edge
+    /// travels back in time and [`SplashError::EdgeFeatureWidth`] when its
+    /// feature vector does not fit the model, leaving all state untouched
+    /// either way. The drop decision reads the one stream clock, so it is
+    /// the same at every partition count.
     pub fn try_observe_edge(&mut self, edge: &TemporalEdge) -> Result<(), SplashError> {
-        let w = self
-            .witness
-            .as_mut()
-            .expect("detached shard member: route through the ShardedPredictor");
+        let w = &mut self.witness;
         if edge.time < w.last_time {
             return Err(SplashError::OutOfOrderEdge { got: edge.time, last: w.last_time });
         }
         check_edge_width(edge, self.edge_feat_dim)?;
         w.augmenter.observe(edge);
-        Self::remember(&mut self.rings, self.k, &w.augmenter, self.process, edge);
+        let n = self.parts.len();
+        let os = shard_of(edge.src, n);
+        self.parts[os].remember(&w.augmenter, self.process, edge.src, edge.dst, edge);
+        self.parts[os].counters.owned_edges.inc();
+        if edge.src != edge.dst {
+            let od = shard_of(edge.dst, n);
+            self.parts[od].remember(&w.augmenter, self.process, edge.dst, edge.src, edge);
+            if od != os {
+                self.parts[od].counters.owned_edges.inc();
+            }
+        }
         w.last_time = edge.time;
+        w.edges.inc();
         Ok(())
     }
 
@@ -695,20 +909,17 @@ impl StreamingPredictor {
     /// each edge in order — feature snapshots are still taken per edge, as
     /// Eq. 14 requires — but the fixed costs are paid once per batch
     /// instead of once per edge: the chronology check is a single pass,
-    /// and the per-node ring table is grown to the batch's maximum
-    /// endpoint up front so no ring push ever reallocates mid-batch.
+    /// the ring tables are grown to the batch's maximum endpoint up front
+    /// so no ring push reallocates mid-batch, and the counters are added
+    /// once per partition.
     ///
     /// The whole batch is validated *before* any state changes, so on
     /// [`SplashError::OutOfOrderEdge`] or [`SplashError::EdgeFeatureWidth`]
     /// the predictor is exactly as it was — the caller can drop or repair
     /// the batch and carry on serving.
     pub fn try_push_edges(&mut self, edges: &[TemporalEdge]) -> Result<(), SplashError> {
-        let w = self
-            .witness
-            .as_mut()
-            .expect("detached shard member: route through the ShardedPredictor");
         let Some(last) = edges.last() else { return Ok(()) };
-        let mut prev = w.last_time;
+        let mut prev = self.witness.last_time;
         let mut max_node = 0;
         for edge in edges {
             if edge.time < prev {
@@ -718,115 +929,76 @@ impl StreamingPredictor {
             prev = edge.time;
             max_node = max_node.max(edge.src).max(edge.dst);
         }
-        Self::grow_rings(&mut self.rings, max_node);
-        for edge in edges {
-            w.augmenter.observe(edge);
-            Self::remember(&mut self.rings, self.k, &w.augmenter, self.process, edge);
+        for part in &mut self.parts {
+            part.rings.grow(max_node);
         }
-        w.last_time = last.time;
+        if fans_out(self.parts.len()) {
+            self.push_threaded(edges);
+        } else {
+            self.push_serial(edges);
+        }
+        self.witness.last_time = last.time;
+        self.witness.edges.add(edges.len() as u64);
         Ok(())
     }
 
-    /// The sharded-ingest primitive behind [`crate::shard::ShardedPredictor`]:
-    /// writes the ring snapshots this shard owns out of a batch of
-    /// pre-materialized `EdgeSnapshot`s (one shared witness pass produced
-    /// them — see `WitnessState::observe_into`). `idx` lists the snapshot
-    /// indices routed to this shard (built once by that same pass), so
-    /// work is O(edges owned): snapshots no endpoint of which this shard
-    /// owns are never even looked at. The caller must have grown the ring
-    /// table past the batch's highest node id
-    /// ([`StreamingPredictor::ensure_ring_capacity`]) — computed once in
-    /// the serial pass, not re-scanned per shard. Ring slots copy the
-    /// snapshot buffers via `clone_from`, so steady-state application is
-    /// allocation-free.
-    ///
-    /// For any partition of the node space, rings written this way are
-    /// bit-identical to [`StreamingPredictor::try_push_edges`] over the
-    /// same edges — the snapshots *are* the post-observe features that
-    /// path would have read. Serial sharded ingest takes the direct
-    /// [`StreamingPredictor::remember_side`] path instead, so this is
-    /// unused without `parallel`.
-    #[cfg_attr(not(feature = "parallel"), allow(dead_code))]
-    pub(crate) fn apply_snapshots(&mut self, snaps: &[EdgeSnapshot], idx: &[u32], shard: usize) {
-        for &i in idx {
-            let s = &snaps[i as usize];
-            if s.owner_src == shard {
-                let slot = Self::push_slot(&mut self.rings, self.k, s.src);
-                slot.other = s.dst;
-                slot.feat.clone_from(&s.dst_feat);
-                slot.edge_feat.clone_from(&s.edge_feat);
-                slot.time = s.time;
-                slot.weight = s.weight;
-            }
-            if s.owner_dst == shard && s.src != s.dst {
-                let slot = Self::push_slot(&mut self.rings, self.k, s.dst);
-                slot.other = s.src;
-                slot.feat.clone_from(&s.src_feat);
-                slot.edge_feat.clone_from(&s.edge_feat);
-                slot.time = s.time;
-                slot.weight = s.weight;
-            }
+    /// Serial ingest: the witness pass writes each owner's ring slot
+    /// directly from the augmenter — no intermediate snapshot. Src slot
+    /// before dst slot, the same write order at every partition count.
+    fn push_serial(&mut self, edges: &[TemporalEdge]) {
+        let (aug, process, n) = (&mut self.witness.augmenter, self.process, self.parts.len());
+        for part in &mut self.parts {
+            part.route.clear();
         }
-    }
-
-    /// Drops the ring state of every node `owns` disclaims, keeping the
-    /// (global) feature tracker intact. [`crate::shard::ShardedPredictor`]
-    /// applies this right after cloning the base predictor so each shard
-    /// carries only its partition's rings — the dominant per-node memory.
-    pub(crate) fn retain_ring_nodes(&mut self, owns: impl Fn(NodeId) -> bool) {
-        for (i, ring) in self.rings.iter_mut().enumerate() {
-            if !owns(i as NodeId) {
-                *ring = Ring::default();
-            }
-        }
-    }
-
-    /// Number of nodes currently holding at least one ring entry (the
-    /// shard-local state a partition actually pays for).
-    pub(crate) fn active_rings(&self) -> usize {
-        self.rings.iter().filter(|r| !r.entries.is_empty()).count()
-    }
-
-    /// Builds the model input for `node` as of time `t` into the reused
-    /// query buffer: the target feature vector and every neighbor slot keep
-    /// their allocations, and the ring is copied as (at most) two
-    /// contiguous slices — oldest-first is `entries[head..]` then
-    /// `entries[..head]` — instead of a per-entry modulo walk.
-    fn query_input_into(
-        &self,
-        aug: &Augmenter,
-        node: NodeId,
-        time: f64,
-        q: &mut CapturedQuery,
-        spare: &mut Vec<CapturedNeighbor>,
-    ) {
-        q.node = node;
-        q.time = time;
-        // `q.label` is deliberately left as-is: predictions ignore labels,
-        // and the labeled-capture path overwrites it via `Label::clone_from`
-        // right after — resetting it here would drop a reusable affinity
-        // buffer and force an allocation per absorbed label.
-        aug.feature_into(self.process, node, &mut q.target_feat);
-        let (older, newer) = match self.rings.get(node as usize) {
-            None => (&[][..], &[][..]),
-            Some(ring) => (&ring.entries[ring.head..], &ring.entries[..ring.head]),
-        };
-        // Shrink by parking surplus slots (keeping their buffers), grow by
-        // unparking; every slot is overwritten via `clone_from`, which
-        // reuses its feature allocations.
-        let n = older.len() + newer.len();
-        while q.neighbors.len() > n {
-            spare.push(q.neighbors.pop().expect("len checked"));
-        }
-        for (i, src) in older.iter().chain(newer).enumerate() {
-            match q.neighbors.get_mut(i) {
-                Some(slot) => slot.clone_from(src),
-                None => {
-                    let mut slot = spare.pop().unwrap_or_default();
-                    slot.clone_from(src);
-                    q.neighbors.push(slot);
+        for (i, edge) in edges.iter().enumerate() {
+            aug.observe(edge);
+            let os = shard_of(edge.src, n);
+            self.parts[os].remember(aug, process, edge.src, edge.dst, edge);
+            self.parts[os].route.push(i as u32);
+            if edge.src != edge.dst {
+                let od = shard_of(edge.dst, n);
+                self.parts[od].remember(aug, process, edge.dst, edge.src, edge);
+                if od != os {
+                    self.parts[od].route.push(i as u32);
                 }
             }
+        }
+        for part in &self.parts {
+            part.counters.owned_edges.add(part.route.len() as u64);
+        }
+    }
+
+    /// Thread-parallel ingest: the witness pass materializes each edge's
+    /// snapshots plus each partition's route, then one thread per
+    /// partition writes its routed snapshots (disjoint rings, read-only
+    /// batch — the same bits as the serial path, less wall clock).
+    fn push_threaded(&mut self, edges: &[TemporalEdge]) {
+        let n = self.parts.len();
+        // The snapshot batch persists at its high-water length; only a
+        // batch larger than any before grows it.
+        if self.snaps.len() < edges.len() {
+            self.snaps.resize_with(edges.len(), EdgeSnapshot::default);
+        }
+        for (edge, snap) in edges.iter().zip(&mut self.snaps) {
+            self.witness.observe_into(edge, self.process, n, snap);
+        }
+        let snaps = &self.snaps[..edges.len()];
+        for part in &mut self.parts {
+            part.route.clear();
+        }
+        for (i, s) in snaps.iter().enumerate() {
+            self.parts[s.owner_src].route.push(i as u32);
+            if s.owner_dst != s.owner_src {
+                self.parts[s.owner_dst].route.push(i as u32);
+            }
+        }
+        std::thread::scope(|scope| {
+            for (p, part) in self.parts.iter_mut().enumerate() {
+                scope.spawn(move || part.apply_snapshots(snaps, p));
+            }
+        });
+        for part in &self.parts {
+            part.counters.owned_edges.add(part.route.len() as u64);
         }
     }
 
@@ -850,25 +1022,8 @@ impl StreamingPredictor {
         q: &mut CapturedQuery,
         spare: &mut Vec<CapturedNeighbor>,
     ) -> Result<(), SplashError> {
-        self.capture_labeled_into_with(self.witness(), node, time, label, q, spare)
-    }
-
-    /// [`StreamingPredictor::capture_labeled_into`] against an explicit
-    /// witness view — how a witness-less shard member captures labels for
-    /// nodes it owns, reading the sharded engine's shared witness.
-    pub(crate) fn capture_labeled_into_with(
-        &self,
-        w: &WitnessState,
-        node: NodeId,
-        time: f64,
-        label: &Label,
-        q: &mut CapturedQuery,
-        spare: &mut Vec<CapturedNeighbor>,
-    ) -> Result<(), SplashError> {
-        if time < w.last_time {
-            return Err(SplashError::PastQuery { got: time, last: w.last_time });
-        }
-        self.query_input_into(&w.augmenter, node, time, q, spare);
+        self.check_time(time)?;
+        self.reader().query_input_into(&self.part_of(node).rings, node, time, q, spare);
         q.label.clone_from(label);
         Ok(())
     }
@@ -884,62 +1039,39 @@ impl StreamingPredictor {
         Ok(out)
     }
 
-    /// [`StreamingPredictor::try_predict`] into a caller-owned vector. This
-    /// is the steady-state serving path: query assembly, batch packing, and
-    /// the SLIM forward all run in buffers reused across calls, so after a
-    /// few warm-up queries it performs **zero heap allocations** (pinned by
-    /// the `alloc` regression test); the [`SplashError::PastQuery`] error
-    /// path allocates nothing either.
+    /// [`StreamingPredictor::try_predict`] into a caller-owned vector,
+    /// answered by `node`'s owner partition. This is the steady-state
+    /// serving path: query assembly, batch packing, and the SLIM forward
+    /// all run in buffers reused across calls, so after a few warm-up
+    /// queries it performs **zero heap allocations** (pinned by the `alloc`
+    /// regression test); the [`SplashError::PastQuery`] error path
+    /// allocates nothing either.
     pub fn try_predict_into(
         &self,
         node: NodeId,
         time: f64,
         out: &mut Vec<f32>,
     ) -> Result<(), SplashError> {
-        self.try_predict_into_with(self.witness(), node, time, out)
-    }
-
-    /// [`StreamingPredictor::try_predict_into`] against an explicit witness
-    /// view — the single-query serving path of a witness-less shard member.
-    pub(crate) fn try_predict_into_with(
-        &self,
-        w: &WitnessState,
-        node: NodeId,
-        time: f64,
-        out: &mut Vec<f32>,
-    ) -> Result<(), SplashError> {
-        if time < w.last_time {
-            return Err(SplashError::PastQuery { got: time, last: w.last_time });
-        }
-        let mut scratch = self.scratch.borrow_mut();
-        let s = &mut *scratch;
-        self.query_input_into(&w.augmenter, node, time, &mut s.query, &mut s.spare);
+        self.check_time(time)?;
+        let part = self.part_of(node);
+        let s = &mut *part.scratch.borrow_mut();
+        self.reader().query_input_into(&part.rings, node, time, &mut s.query, &mut s.spare);
         self.model.build_batch_into(&[&s.query], &mut s.batch);
         self.model.infer_into(&s.batch, &mut s.logits, &mut s.ws);
         out.clear();
         out.extend_from_slice(s.logits.row(0));
+        part.counters.queries.inc();
         Ok(())
     }
 
     /// Predicts logits for several nodes at once (single shared timestamp;
     /// a past timestamp reports [`SplashError::PastQuery`]).
     pub fn try_predict_many(&self, nodes: &[NodeId], time: f64) -> Result<Matrix, SplashError> {
-        let w = self.witness();
-        if time < w.last_time {
-            return Err(SplashError::PastQuery { got: time, last: w.last_time });
-        }
-        let mut scratch = self.scratch.borrow_mut();
-        let s = &mut *scratch;
-        if s.queries.len() < nodes.len() {
-            s.queries.resize_with(nodes.len(), CapturedQuery::default);
-        }
-        for (q, &v) in s.queries.iter_mut().zip(nodes) {
-            self.query_input_into(&w.augmenter, v, time, q, &mut s.spare);
-        }
-        self.model.build_batch_into(&s.queries[..nodes.len()], &mut s.batch);
-        let mut out = Matrix::default();
-        self.model.infer_into(&s.batch, &mut out, &mut s.ws);
-        Ok(out)
+        let queries: Vec<PropertyQuery> = nodes
+            .iter()
+            .map(|&node| PropertyQuery { node, time, label: Label::Class(0) })
+            .collect();
+        self.try_predict_batch(&queries)
     }
 
     /// Answers a micro-batch of label queries in one SLIM forward pass;
@@ -950,34 +1082,15 @@ impl StreamingPredictor {
     /// query (the `predict_batch_matches_single_predictions` test pins
     /// this): batching amortizes input assembly and the fused inference
     /// kernel's per-call work (its scan of the weights for non-finite
-    /// values) over the batch, fills the kernel's 4-row tiles, and runs
-    /// 256-query chunks in parallel under the `parallel` feature, but
-    /// every query's logits are still computed from
-    /// exactly the same captured state. Queries may carry distinct
-    /// timestamps; every query time is validated *before* any assembly
-    /// work, and a past-time query reports [`SplashError::PastQuery`].
+    /// values) over the batch and fills the kernel's 4-row tiles, but
+    /// every query's logits are still computed from exactly the same
+    /// captured state. Queries may carry distinct timestamps; every query
+    /// time is validated *before* any assembly work, and a past-time query
+    /// reports [`SplashError::PastQuery`].
     pub fn try_predict_batch(&self, queries: &[PropertyQuery]) -> Result<Matrix, SplashError> {
-        let w = self.witness();
-        for q in queries {
-            if q.time < w.last_time {
-                return Err(SplashError::PastQuery { got: q.time, last: w.last_time });
-            }
-        }
-        let mut scratch = self.scratch.borrow_mut();
-        let s = &mut *scratch;
-        // The assembled-query buffers persist across batches at their
-        // high-water count; only a batch larger than any before grows them.
-        if s.queries.len() < queries.len() {
-            s.queries.resize_with(queries.len(), CapturedQuery::default);
-        }
-        for (dst, q) in s.queries.iter_mut().zip(queries) {
-            self.query_input_into(&w.augmenter, q.node, q.time, dst, &mut s.spare);
-        }
-        Ok(crate::pipeline::predict_slim(
-            &self.model,
-            &s.queries[..queries.len()],
-            STREAM_BATCH,
-        ))
+        let mut out = Matrix::default();
+        self.predict_in_place(queries, &mut out)?;
+        Ok(out)
     }
 
     /// [`StreamingPredictor::try_predict_batch`] into a caller-owned
@@ -987,56 +1100,85 @@ impl StreamingPredictor {
     /// packed batch, the workspace, and the per-chunk logits all live in
     /// buffers reused across calls, and `out` is resized in place, so a
     /// warmed-up caller performs **zero** heap allocations per batch
-    /// (pinned by the `alloc` regression test). Bit-identical to
+    /// (pinned by the `alloc` regression test). Serially, queries are
+    /// answered in place in batch order. With more than one partition and
+    /// thread-per-partition fan-out available (see the module docs), each
+    /// partition answers its own queries on its own thread and the rows
+    /// are gathered back in batch order — `&mut self` is what lets the
+    /// (`!Sync`) partitions fan out. Both forms are bit-identical to
     /// [`StreamingPredictor::try_predict_batch`]: each row depends only on
-    /// its own query, so chunking never changes bits.
+    /// its own query.
     pub fn try_predict_batch_into(
-        &self,
+        &mut self,
         queries: &[PropertyQuery],
         out: &mut Matrix,
     ) -> Result<(), SplashError> {
-        self.try_predict_batch_into_with(self.witness(), queries, out)
+        let n = self.parts.len();
+        if !fans_out(n) || queries.is_empty() {
+            return self.predict_in_place(queries, out);
+        }
+        for q in queries {
+            self.check_time(q.time)?;
+        }
+        // Scatter: each partition's queries (labels replaced by a class-0
+        // placeholder, which never allocates) and the rows they answer.
+        for part in &mut self.parts {
+            part.sub.clear();
+            part.index.clear();
+        }
+        for (i, q) in queries.iter().enumerate() {
+            let part = &mut self.parts[shard_of(q.node, n)];
+            part.sub.push(PropertyQuery { node: q.node, time: q.time, label: Label::Class(0) });
+            part.index.push(i);
+        }
+        let reader = Reader {
+            model: &self.model,
+            witness: &self.witness,
+            process: self.process,
+            out_dim: self.out_dim,
+        };
+        std::thread::scope(|scope| {
+            for part in &mut self.parts {
+                scope.spawn(move || {
+                    nn::backend::with_serial_backend(|| {
+                        let RingPartition { rings, scratch, sub, rows, .. } = part;
+                        let rings = &*rings;
+                        reader.predict_rows(|_| rings, scratch.get_mut(), sub, rows);
+                    })
+                });
+            }
+        });
+        // Gather the row blocks back into batch order.
+        out.resize_zeroed(queries.len(), self.out_dim);
+        for part in &self.parts {
+            for (local, &row) in part.index.iter().enumerate() {
+                out.row_mut(row).copy_from_slice(part.rows.row(local));
+            }
+            part.counters.queries.add(part.index.len() as u64);
+        }
+        Ok(())
     }
 
-    /// [`StreamingPredictor::try_predict_batch_into`] against an explicit
-    /// witness view — the batched serving path of a witness-less shard
-    /// member inside the sharded scatter–gather.
-    pub(crate) fn try_predict_batch_into_with(
+    /// The serial form of both batch predicts: validates every query time,
+    /// then answers the batch into `out` in batch order, each query from
+    /// its owner's rings, through partition 0's scratch.
+    fn predict_in_place(
         &self,
-        w: &WitnessState,
         queries: &[PropertyQuery],
         out: &mut Matrix,
     ) -> Result<(), SplashError> {
         for q in queries {
-            if q.time < w.last_time {
-                return Err(SplashError::PastQuery { got: q.time, last: w.last_time });
-            }
+            self.check_time(q.time)?;
         }
         if queries.is_empty() {
-            // Match `try_predict_batch` (whose chunk map yields a 0×0
-            // matrix) so the two forms are interchangeable bit for bit.
             out.resize_zeroed(0, 0);
             return Ok(());
         }
-        let mut scratch = self.scratch.borrow_mut();
-        let s = &mut *scratch;
-        out.resize_zeroed(queries.len(), self.out_dim);
-        let mut pos = 0;
-        while pos < queries.len() {
-            let end = (pos + STREAM_BATCH).min(queries.len());
-            let m = end - pos;
-            if s.queries.len() < m {
-                s.queries.resize_with(m, CapturedQuery::default);
-            }
-            for (dst, q) in s.queries.iter_mut().zip(&queries[pos..end]) {
-                self.query_input_into(&w.augmenter, q.node, q.time, dst, &mut s.spare);
-            }
-            self.model.build_batch_into(&s.queries[..m], &mut s.batch);
-            self.model.infer_into(&s.batch, &mut s.logits, &mut s.ws);
-            for i in 0..m {
-                out.row_mut(pos + i).copy_from_slice(s.logits.row(i));
-            }
-            pos = end;
+        let (parts, n) = (&self.parts, self.parts.len());
+        let s = &mut *parts[0].scratch.borrow_mut();
+        self.reader().predict_rows(|v| &parts[shard_of(v, n)].rings, s, queries, out);
+        for q in queries {
+            parts[shard_of(q.node, n)].counters.queries.inc();
         }
         Ok(())
     }
@@ -1044,10 +1186,9 @@ impl StreamingPredictor {
     /// The dynamic representation `h_i(t)` of a node (Eq. 18). Reuses the
     /// predict scratch; allocates only the returned vector.
     pub fn represent(&self, node: NodeId, time: f64) -> Vec<f32> {
-        let w = self.witness();
-        let mut scratch = self.scratch.borrow_mut();
-        let s = &mut *scratch;
-        self.query_input_into(&w.augmenter, node, time, &mut s.query, &mut s.spare);
+        let part = self.part_of(node);
+        let s = &mut *part.scratch.borrow_mut();
+        self.reader().query_input_into(&part.rings, node, time, &mut s.query, &mut s.spare);
         self.model.build_batch_into(&[&s.query], &mut s.batch);
         self.model.represent_into(&s.batch, &mut s.logits, &mut s.ws);
         s.logits.row(0).to_vec()
@@ -1303,8 +1444,7 @@ mod tests {
         let (dataset, cfg) = setup();
         let mut single =
             StreamingPredictor::train_with_process(&dataset, &cfg, FeatureProcess::Random);
-        let mut sharded =
-            crate::shard::ShardedPredictor::from_predictor(single.clone(), 2).unwrap();
+        let mut sharded = single.clone().reshard(2).unwrap();
         assert_eq!((single.edge_feat_dim(), sharded.edge_feat_dim()), (0, 0));
         let t = single.last_time();
         let wide = TemporalEdge { feat: vec![1.0].into(), ..TemporalEdge::plain(2, 3, t + 2.0) };

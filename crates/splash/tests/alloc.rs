@@ -21,8 +21,7 @@ use std::sync::{Mutex, MutexGuard};
 use ctdg::{Label, PropertyQuery, TemporalEdge};
 use splash::{
     seen_end_time, DurabilityConfig, FeatureProcess, FineTunePolicy, IngestRequest, OnlineConfig,
-    PredictRequest, PredictResponse, ShardedPredictor, SplashConfig, SplashService,
-    StreamingPredictor, SEEN_FRAC,
+    PredictRequest, PredictResponse, SplashConfig, SplashService, StreamingPredictor, SEEN_FRAC,
 };
 
 /// Counts every `alloc`/`realloc` that reaches the system allocator.
@@ -256,27 +255,27 @@ fn steady_state_durable_ingest_is_allocation_free() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The sharded scatter–gather serving paths must be as allocation-free as
-/// the single engine: after warm-up, a routed single-node
-/// `try_predict_into` and a scattered `try_predict_batch_into` with a
-/// reused output matrix perform **zero** allocator calls — registry of
-/// per-shard sub-batches, index maps, per-shard logit blocks and all.
+/// A 3-shard engine's serving paths must be as allocation-free as the
+/// unsharded engine's: after warm-up, a single-node `try_predict_into`
+/// (answered by the node's owner partition) and a batched
+/// `try_predict_batch_into` with a reused output matrix perform **zero**
+/// allocator calls.
 ///
 /// The counted section is pinned to the serial path
-/// (`with_serial_backend`): with threads available the scatter fans out
+/// (`with_serial_backend`): with threads available a batch fans out
 /// thread-per-shard, and spawning threads allocates by design.
 #[test]
 fn steady_state_sharded_predict_is_allocation_free() {
     let _serial = serial();
     let (base, tail) = trained_predictor();
-    let mut sharded = ShardedPredictor::from_predictor(base, 3).unwrap();
+    let mut sharded = base.reshard(3).unwrap();
     assert!(tail.len() > 20, "fixture too small");
     sharded.try_push_edges(&tail).unwrap();
     let t0 = sharded.last_time();
 
     // The same query spread as the single-engine test (never-seen nodes
-    // included), batched; warm both the routed single-query path and the
-    // scatter–gather batch path.
+    // included), batched; warm both the owner-partition single-query path
+    // and the batch path.
     let mut nodes: Vec<u32> = (0..32u32).map(|i| i * 3 % 40).collect();
     nodes.insert(7, 9_999);
     nodes.insert(21, 9_999);

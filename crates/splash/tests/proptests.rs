@@ -4,8 +4,8 @@ use ctdg::{EdgeStream, Label, PropertyQuery, TemporalEdge};
 use datasets::{Dataset, Task};
 use proptest::prelude::*;
 use splash::{
-    capture, encodings, Augmenter, FeatureProcess, InputFeatures, ShardedPredictor,
-    SplashConfig, SplashError, SplashService, StreamingPredictor,
+    capture, encodings, Augmenter, FeatureProcess, InputFeatures, SplashConfig, SplashError,
+    SplashService, StreamingPredictor,
 };
 
 fn arb_dataset(max_nodes: u32, max_edges: usize) -> impl Strategy<Value = Dataset> {
@@ -109,6 +109,12 @@ fn tmp_artifact(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("splash-prop-{tag}-{}.bin", std::process::id()))
 }
 
+/// Loads the artifact at `path` and serves it from `shards` partitions.
+fn load_at(path: &std::path::Path, shards: usize) -> StreamingPredictor {
+    let saved = splash::load_model(path).unwrap();
+    StreamingPredictor::try_from_saved(saved, &base_dataset()).unwrap().reshard(shards).unwrap()
+}
+
 /// The artifact a service writes right after training the base model
 /// (`SplashService::train_model_with_process` + `save_model`), trained
 /// once per test thread.
@@ -135,9 +141,9 @@ fn fresh_service_artifact() -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The sharding acceptance contract: for every shard count, routed
-    /// ingest + scattered `predict_batch`/`predict_into` are byte-for-byte
-    /// the single-engine results, on any valid stream.
+    /// The sharding acceptance contract: for every shard count, partitioned
+    /// ingest + `predict_batch`/`predict_batch_into`/`predict_into` are
+    /// byte-for-byte the unsharded results, on any valid stream.
     #[test]
     fn sharded_matches_unsharded_bitwise(
         raw_tail in arb_tail(60),
@@ -164,19 +170,18 @@ proptest! {
         let expected = single.try_predict_batch(&queries).unwrap();
 
         for shards in SHARD_COUNTS {
-            let mut sharded =
-                ShardedPredictor::from_predictor(base_predictor(), shards).unwrap();
+            let mut sharded = base_predictor().reshard(shards).unwrap();
             for c in tail.chunks(chunk) {
                 sharded.try_push_edges(c).unwrap();
             }
             prop_assert_eq!(sharded.last_time(), t_end);
 
-            // Scattered batch — gathered rows must be the single engine's.
+            // Batch rows must be the unsharded engine's.
             let got = sharded.try_predict_batch(&queries).unwrap();
             prop_assert_eq!(got.shape(), expected.shape());
             prop_assert_eq!(got.data(), expected.data(), "batch diverged at {} shards", shards);
 
-            // The zero-alloc gather form and the single-query route agree.
+            // The zero-alloc batch form and the single-query route agree.
             let mut gathered = nn::Matrix::default();
             sharded.try_predict_batch_into(&queries, &mut gathered).unwrap();
             prop_assert_eq!(gathered.data(), expected.data());
@@ -190,7 +195,7 @@ proptest! {
 
     /// Sharded-artifact round-trip under the shared witness: ingest a
     /// random live prefix at N shards, save the artifact, reload it at
-    /// every shard count M (resharding-on-load), and the scattered batch
+    /// every shard count M (resharding-on-load), and the batch
     /// must be byte-identical to the single engine that never restarted —
     /// right after the load and after a random continuation, with the
     /// global witness seeing each continued edge exactly once regardless
@@ -202,7 +207,6 @@ proptest! {
         raw_queries in prop::collection::vec((0u32..70, 0.0f64..4.0), 1..15),
         save_at in 0usize..SHARD_COUNTS.len(),
     ) {
-        let dataset = base_dataset();
         let mut single = base_predictor();
         let live = tail_from(single.last_time(), &raw_live);
         single.try_push_edges(&live).unwrap();
@@ -214,13 +218,13 @@ proptest! {
         let expected_after = single.try_predict_batch(&after).unwrap();
 
         let n = SHARD_COUNTS[save_at];
-        let mut origin = ShardedPredictor::from_predictor(base_predictor(), n).unwrap();
+        let mut origin = base_predictor().reshard(n).unwrap();
         origin.try_push_edges(&live).unwrap();
         let path = tmp_artifact(&format!("reshard-{n}"));
         origin.save(&path).unwrap();
 
         for m in SHARD_COUNTS {
-            let mut loaded = ShardedPredictor::try_load(&path, &dataset, m).unwrap();
+            let mut loaded = load_at(&path, m);
             let got = loaded.try_predict_batch(&saved_at).unwrap();
             prop_assert_eq!(
                 got.data(),
@@ -258,21 +262,15 @@ proptest! {
         sharded in any::<bool>(),
     ) {
         let dataset = base_dataset();
-        let mut saver = base_predictor();
+        let saver = base_predictor();
         let live = tail_from(saver.last_time(), &raw_live);
         let queries = queries_after(live.last().unwrap().time, &raw_queries);
         let n = if sharded { 3 } else { 1 };
         let path = tmp_artifact(&format!("saver-{n}"));
-        let expected = if sharded {
-            let mut engine = ShardedPredictor::from_predictor(saver, n).unwrap();
-            engine.try_push_edges(&live).unwrap();
-            engine.save(&path).unwrap();
-            engine.try_predict_batch(&queries).unwrap()
-        } else {
-            saver.try_push_edges(&live).unwrap();
-            saver.save(&path).unwrap();
-            saver.try_predict_batch(&queries).unwrap()
-        };
+        let mut engine = saver.reshard(n).unwrap();
+        engine.try_push_edges(&live).unwrap();
+        engine.save(&path).unwrap();
+        let expected = engine.try_predict_batch(&queries).unwrap();
         let bytes = std::fs::read(&path).unwrap();
 
         let resaved = tmp_artifact(&format!("resaved-{n}"));
@@ -282,7 +280,7 @@ proptest! {
             let got = service.predict_batch("m", &queries).unwrap();
             prop_assert_eq!(got.data(), expected.data(), "saved at {}, served at {}", n, m);
 
-            let mut engine = ShardedPredictor::try_load(&path, &dataset, m).unwrap();
+            let mut engine = load_at(&path, m);
             prop_assert_eq!(engine.try_predict_batch(&queries).unwrap().data(), expected.data());
             engine.save(&resaved).unwrap();
             prop_assert!(
@@ -293,6 +291,55 @@ proptest! {
         }
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&resaved).ok();
+    }
+
+    /// In-memory resharding from any count: a live engine at N ∈ {1, 3}
+    /// resharded to every M answers random queries with the same logits,
+    /// serves a random continuation identically, and saves the same
+    /// artifact bytes.
+    #[test]
+    fn live_reshard_matches_the_original(
+        raw_live in arb_tail(40),
+        raw_rest in arb_tail(20),
+        raw_queries in prop::collection::vec((0u32..70, 0.0f64..4.0), 1..15),
+        sharded in any::<bool>(),
+    ) {
+        let n = if sharded { 3 } else { 1 };
+        let mut origin = base_predictor().reshard(n).unwrap();
+        let live = tail_from(origin.last_time(), &raw_live);
+        origin.try_push_edges(&live).unwrap();
+        let queries = queries_after(origin.last_time(), &raw_queries);
+        let expected = origin.try_predict_batch(&queries).unwrap();
+        let path = tmp_artifact(&format!("live-{n}"));
+        origin.save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let rest = tail_from(origin.last_time(), &raw_rest);
+        let mut continued = origin.clone();
+        continued.try_push_edges(&rest).unwrap();
+        let after = queries_after(continued.last_time(), &raw_queries);
+        let expected_after = continued.try_predict_batch(&after).unwrap();
+
+        for m in SHARD_COUNTS {
+            let mut engine = origin.clone().reshard(m).unwrap();
+            prop_assert_eq!(engine.num_shards(), m);
+            let mut got = nn::Matrix::default();
+            engine.try_predict_batch_into(&queries, &mut got).unwrap();
+            prop_assert_eq!(got.data(), expected.data(), "resharded {} -> {}", n, m);
+            engine.save(&path).unwrap();
+            prop_assert!(
+                std::fs::read(&path).unwrap() == bytes,
+                "resharded {} -> {}: the re-saved artifact differs",
+                n, m
+            );
+            engine.try_push_edges(&rest).unwrap();
+            prop_assert_eq!(
+                engine.try_predict_batch(&after).unwrap().data(),
+                expected_after.data(),
+                "resharded {} -> {} diverged on the continuation",
+                n, m
+            );
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     /// A freshly trained artifact loads as the engine in-process training
@@ -355,8 +402,7 @@ proptest! {
         let expected = single.try_predict_batch(&queries).unwrap();
 
         for shards in SHARD_COUNTS {
-            let mut sharded =
-                ShardedPredictor::from_predictor(base_predictor(), shards).unwrap();
+            let mut sharded = base_predictor().reshard(shards).unwrap();
             for (e, &was_dropped) in tail.iter().zip(&dropped) {
                 let verdict = sharded.try_observe_edge(e);
                 prop_assert_eq!(

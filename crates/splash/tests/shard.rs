@@ -1,14 +1,14 @@
-//! Behavioral contract of the sharding subsystem: artifacts saved by a
-//! sharded engine restore that engine at any shard count, corruption is
+//! Behavioral contract of ring partitioning (sharding): artifacts saved by
+//! a sharded engine restore that engine at any shard count, corruption is
 //! typed, the service façade serves sharded engines bit-identically to
-//! single engines, and the late-edge policy matrix holds under sharding.
+//! unsharded ones, and the late-edge policy matrix holds under sharding.
 
 use ctdg::{Label, PropertyQuery, TemporalEdge};
 use datasets::Dataset;
 use splash::{
     seen_end_time, truncate_to_available, FeatureProcess, IngestRequest,
-    LateEdgePolicy, PredictRequest, PredictResponse, ShardedPredictor, SplashConfig,
-    SplashError, SplashService, StreamingPredictor, SEEN_FRAC,
+    LateEdgePolicy, PredictRequest, PredictResponse, SplashConfig, SplashError, SplashService,
+    StreamingPredictor, SEEN_FRAC,
 };
 
 fn fixture() -> (Dataset, SplashConfig, Vec<TemporalEdge>) {
@@ -36,6 +36,11 @@ fn tmp(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("splash-shard-{tag}-{}.bin", std::process::id()))
 }
 
+/// Loads the artifact at `path` and serves it from `shards` partitions.
+fn load(path: &std::path::Path, dataset: &Dataset, shards: usize) -> Result<StreamingPredictor, SplashError> {
+    StreamingPredictor::try_from_saved(splash::load_model(path)?, dataset)?.reshard(shards)
+}
+
 /// An engine saved at N shards loads and serves identically at M shards —
 /// for M below, equal to, and above N — and identically to the unsharded
 /// engine that never restarted, both right after the load and after the
@@ -47,7 +52,7 @@ fn sharded_artifact_reshards_on_load_bitwise() {
     let (live, rest) = tail.split_at(tail.len() / 2);
     let mut single =
         StreamingPredictor::train_with_process(&dataset, &cfg, FeatureProcess::Positional);
-    let mut sharded = ShardedPredictor::from_predictor(single.clone(), 3).unwrap();
+    let mut sharded = single.clone().reshard(3).unwrap();
     sharded.try_push_edges(live).unwrap();
     single.try_push_edges(live).unwrap();
 
@@ -67,7 +72,7 @@ fn sharded_artifact_reshards_on_load_bitwise() {
     let expected_after = single.try_predict_batch(&after).unwrap();
 
     for m in [1usize, 2, 3, 7] {
-        let mut restored = ShardedPredictor::try_load(&path, &dataset, m).unwrap();
+        let mut restored = load(&path, &dataset, m).unwrap();
         assert_eq!(restored.num_shards(), m);
         let got = restored.try_predict_batch(&saved_at).unwrap();
         assert_eq!(
@@ -94,8 +99,9 @@ fn sharded_artifact_reshards_on_load_bitwise() {
 fn shared_model_file_is_independently_loadable() {
     let (dataset, cfg, tail) = fixture();
     let (live, rest) = tail.split_at(tail.len() / 2);
-    let mut sharded =
-        ShardedPredictor::train_with_process(&dataset, &cfg, FeatureProcess::Random, 2).unwrap();
+    let mut sharded = StreamingPredictor::train_with_process(&dataset, &cfg, FeatureProcess::Random)
+        .reshard(2)
+        .unwrap();
     sharded.try_push_edges(live).unwrap();
     let path = tmp("standalone");
     sharded.save(&path).unwrap();
@@ -113,7 +119,7 @@ fn shared_model_file_is_independently_loadable() {
 }
 
 /// Damage to an artifact a sharded engine saved is typed through
-/// `try_load`: truncation and a flipped byte load as `CorruptModel` (the
+/// `load`: truncation and a flipped byte load as `CorruptModel` (the
 /// flip names the checksum), a foreign format revision and a retired
 /// `SPLASHS` shard manifest as `PersistVersionMismatch`, a missing file as
 /// `Io` — never a panic, never a half-built engine. Section-by-section
@@ -121,8 +127,9 @@ fn shared_model_file_is_independently_loadable() {
 #[test]
 fn corrupt_sharded_artifacts_are_typed() {
     let (dataset, cfg, tail) = fixture();
-    let mut sharded =
-        ShardedPredictor::train_with_process(&dataset, &cfg, FeatureProcess::Random, 2).unwrap();
+    let mut sharded = StreamingPredictor::train_with_process(&dataset, &cfg, FeatureProcess::Random)
+        .reshard(2)
+        .unwrap();
     sharded.try_push_edges(&tail[..tail.len() / 2]).unwrap();
     let path = tmp("corrupt");
     sharded.save(&path).unwrap();
@@ -130,7 +137,7 @@ fn corrupt_sharded_artifacts_are_typed() {
 
     for keep in [0usize, 9, 13, bytes.len() / 3, bytes.len() / 2, bytes.len() - 1] {
         std::fs::write(&path, &bytes[..keep]).unwrap();
-        let err = ShardedPredictor::try_load(&path, &dataset, 2).unwrap_err();
+        let err = load(&path, &dataset, 2).unwrap_err();
         assert!(
             matches!(err, SplashError::CorruptModel { .. }),
             "truncation to {keep} bytes: {err:?}"
@@ -141,7 +148,7 @@ fn corrupt_sharded_artifacts_are_typed() {
     let mut versioned = bytes.clone();
     versioned[8..12].copy_from_slice(&42u32.to_le_bytes());
     std::fs::write(&path, &versioned).unwrap();
-    match ShardedPredictor::try_load(&path, &dataset, 2).unwrap_err() {
+    match load(&path, &dataset, 2).unwrap_err() {
         SplashError::PersistVersionMismatch { found, supported } => {
             assert_eq!(found, 42);
             assert_eq!(supported, 3);
@@ -154,7 +161,7 @@ fn corrupt_sharded_artifacts_are_typed() {
     manifest.extend_from_slice(&2u32.to_le_bytes());
     manifest.extend_from_slice(&2u64.to_le_bytes());
     std::fs::write(&path, &manifest).unwrap();
-    let err = ShardedPredictor::try_load(&path, &dataset, 2).unwrap_err();
+    let err = load(&path, &dataset, 2).unwrap_err();
     assert!(
         matches!(err, SplashError::PersistVersionMismatch { found: 2, supported: 3 }),
         "{err:?}"
@@ -165,20 +172,20 @@ fn corrupt_sharded_artifacts_are_typed() {
     let mid = flipped.len() / 2;
     flipped[mid] ^= 0xFF;
     std::fs::write(&path, &flipped).unwrap();
-    match ShardedPredictor::try_load(&path, &dataset, 2).unwrap_err() {
+    match load(&path, &dataset, 2).unwrap_err() {
         SplashError::CorruptModel { what } => assert!(what.contains("checksum"), "{what}"),
         other => panic!("expected CorruptModel, got {other:?}"),
     }
 
     // A missing file is plain I/O.
     std::fs::remove_file(&path).unwrap();
-    let err = ShardedPredictor::try_load(&path, &dataset, 2).unwrap_err();
+    let err = load(&path, &dataset, 2).unwrap_err();
     assert!(matches!(err, SplashError::Io(_)), "{err:?}");
 }
 
 /// The service façade over a sharded engine: ingest/predict/batch are
-/// bit-identical to a single-engine service, the engine accessors are
-/// typed, and the stats counters see every shard.
+/// bit-identical to an unsharded service, `model` returns the engine at
+/// any shard count, and the counters mean the same at every count.
 #[test]
 fn sharded_service_matches_single_service_bitwise() {
     let (dataset, cfg, tail) = fixture();
@@ -210,20 +217,11 @@ fn sharded_service_matches_single_service_bitwise() {
     assert_eq!(batch_a.data(), batch_b.data(), "batched path diverged");
     let mut batch_c = nn::Matrix::default();
     sharded.predict_batch_into("live", &queries, &mut batch_c).unwrap();
-    assert_eq!(batch_c.data(), batch_a.data(), "scatter-gather path diverged");
+    assert_eq!(batch_c.data(), batch_a.data(), "batch-into path diverged");
 
-    // Engine accessors are typed per engine form.
-    assert!(single.model("live").is_ok());
-    assert!(matches!(
-        single.sharded_model("live").unwrap_err(),
-        SplashError::ShardedModel { shards: 1, .. }
-    ));
-    assert!(matches!(
-        sharded.model("live").unwrap_err(),
-        SplashError::ShardedModel { shards: 3, .. }
-    ));
-    let engine = sharded.sharded_model("live").unwrap();
-    assert_eq!(engine.num_shards(), 3);
+    // One engine type: `model` returns it at any shard count.
+    assert_eq!(single.model("live").unwrap().num_shards(), 1);
+    assert_eq!(sharded.model("live").unwrap().num_shards(), 3);
     assert_eq!(single.model_last_time("live").unwrap(), t0);
     assert_eq!(sharded.model_last_time("live").unwrap(), t0);
 
@@ -237,13 +235,17 @@ fn sharded_service_matches_single_service_bitwise() {
     let served: u64 = stats.iter().map(|s| s.queries_served).sum();
     // predict_into + predict_batch + predict_batch_into passes above.
     assert_eq!(served, 3 * queries.len() as u64);
-    assert!(single.shard_stats("live").unwrap().is_empty());
+    // The unsharded engine reports the same counters, as one shard.
+    let stats = single.shard_stats("live").unwrap();
+    assert_eq!(stats.len(), 1);
+    assert_eq!(stats[0].owned_edges, tail.len() as u64);
+    assert_eq!(stats[0].queries_served, 2 * queries.len() as u64);
 
     // Service-level counters count shard engines and the global witness.
     assert_eq!(sharded.stats().shards, 3);
     assert_eq!(single.stats().shards, 1);
     assert_eq!(sharded.stats().edges_witnessed, tail.len() as u64);
-    assert_eq!(single.stats().edges_witnessed, 0);
+    assert_eq!(single.stats().edges_witnessed, tail.len() as u64);
     let rendered = sharded.stats().to_string();
     assert!(rendered.contains("shard engines  : 3"), "{rendered}");
     assert!(rendered.contains(&format!("edges witnessed: {}", tail.len())), "{rendered}");
@@ -353,8 +355,9 @@ fn sharded_drop_late_matches_filtered_stream() {
 #[test]
 fn sharded_edge_cases_are_typed_and_atomic() {
     let (dataset, cfg, tail) = fixture();
-    let mut sharded =
-        ShardedPredictor::train_with_process(&dataset, &cfg, FeatureProcess::Random, 3).unwrap();
+    let mut sharded = StreamingPredictor::train_with_process(&dataset, &cfg, FeatureProcess::Random)
+        .reshard(3)
+        .unwrap();
     sharded.try_push_edges(&[]).unwrap();
     assert_eq!(sharded.try_predict_batch(&[]).unwrap().shape(), (0, 0));
 
